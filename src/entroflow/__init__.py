@@ -49,7 +49,6 @@ from .transport import (
     w2_exact_1d,
     w2_lp,
     w2_sinkhorn,
-    w2_to_gaussian,
 )
 from .jko import (
     FlowTrajectory,
@@ -61,7 +60,6 @@ from .jko import (
     estimate_checks,
     evi_residual_profile,
     invariance_check,
-    jko_step,
     jko_step_detailed,
     jko_trajectory,
     refine_trajectory,

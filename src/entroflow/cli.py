@@ -190,10 +190,11 @@ def _cmd_transition(cfg, outdir, seed, tol_scale):
     traj = transition_trajectory(gamma, x, t, jcfg)
     write_measure_csv(outdir / "transition.csv", traj.measure_at(t))
     report = CheckReport()
-    bound = dirac_transport_cost(gamma, float(traj.initial.x[0])) / (2.0 * t)
+    start = float(traj.initial.x[0])
+    bound = dirac_transport_cost(gamma, start) / (2.0 * t)
     report.add("transition_entropy_bound", float(traj.entropies[-1]), bound, 0.0)
     manifest = _manifest_base(cfg, seed)
-    manifest["snapped_start"] = float(traj.initial.x[0])
+    manifest["snapped_start"] = start
     return _emit(outdir, "transition", manifest, report)
 
 
@@ -202,17 +203,16 @@ def _cmd_fp(cfg, outdir, seed, tol_scale):
 
     from .oracles import fp_solve
     from .report import CheckReport
-    from .serialize import atomic_write_text
+    from .serialize import _csv_text, atomic_write_text
 
     gamma = _build_reference(cfg)
     mu0 = _build_initial(cfg, gamma)
     dt = _positive(cfg, "oracle.dt", required=True)
     horizon = _positive(cfg, "horizon", required=True)
     sol = fp_solve(gamma.potential, mu0, horizon, dt, grid=gamma.grid)
-    rows = ["t," + ",".join(f"{x:.17g}" for x in sol.grid)]
-    for t, dens in zip(sol.times, sol.densities):
-        rows.append(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in dens))
-    atomic_write_text(outdir / "fp_densities.csv", "\n".join(rows) + "\n")
+    header = ["t"] + [f"{x:.17g}" for x in sol.grid.tolist()]
+    rows = ([t] + dens.tolist() for t, dens in zip(sol.times.tolist(), sol.densities))
+    atomic_write_text(outdir / "fp_densities.csv", _csv_text(header, rows))
     report = CheckReport()
     report.add("mass_conserved", float(abs(sol.densities[-1].sum() - 1.0)), 0.0, 1e-9)
     report.add("nonnegative", float(-sol.min_density), 0.0, 1e-10)
@@ -225,7 +225,7 @@ def _cmd_fp(cfg, outdir, seed, tol_scale):
 def _cmd_sde(cfg, outdir, seed, tol_scale):
     from .oracles import sde_simulate
     from .report import CheckReport
-    from .serialize import atomic_write_text
+    from .serialize import _csv_text, atomic_write_text
 
     gamma = _build_reference(cfg)
     dt = _positive(cfg, "oracle.dt", required=True)
@@ -233,8 +233,9 @@ def _cmd_sde(cfg, outdir, seed, tol_scale):
     x = _get(cfg, "x", float, required=True)
     horizon = _positive(cfg, "horizon", required=True)
     sample = sde_simulate(gamma.potential, x, horizon, dt, n_paths, seed)
-    text = "terminal\n" + "\n".join(f"{v:.17g}" for v in sample.terminal_points) + "\n"
-    atomic_write_text(outdir / "sde_terminal.csv", text)
+    # numpy scalars rather than one list of all floats keep the peak memory low
+    rows = zip(sample.terminal_points)
+    atomic_write_text(outdir / "sde_terminal.csv", _csv_text(["terminal"], rows))
     report = CheckReport()
     lo, hi = gamma.potential.finite_interval()
     if math.isfinite(lo) and math.isfinite(hi):
@@ -250,7 +251,7 @@ def _cmd_sde(cfg, outdir, seed, tol_scale):
 
 def _cmd_stability(cfg, outdir, seed, tol_scale):
     from . import measures as ms
-    from .serialize import atomic_write_text
+    from .serialize import _csv_text, atomic_write_text
     from .stability import build_sequence, flow_stability_run, gamma_convergence_check
 
     desc = _get(cfg, "potential", dict, required=True)
@@ -278,8 +279,9 @@ def _cmd_stability(cfg, outdir, seed, tol_scale):
         jcfg,
         final_gap_tol=tols.get("flow_gap", 0.05),
     )
-    rows = ["n,gap"] + [f"{n},{g:.17g}" for n, g in zip(seq.ns, res.gaps)]
-    atomic_write_text(outdir / "stability_gaps.csv", "\n".join(rows) + "\n")
+    # str(n) echoes each n as configured, also when it was given as a float
+    rows = [(str(n), float(g)) for n, g in zip(seq.ns, res.gaps)]
+    atomic_write_text(outdir / "stability_gaps.csv", _csv_text(["n", "gap"], rows))
     report = res.report
     probe = ms.gaussian_on_grid(seq.limit, 0.25, 0.5)
     report.extend(gamma_convergence_check(seq, [probe], tol=tols.get("gamma_gap", 0.01)))
@@ -295,7 +297,7 @@ def _cmd_dirichlet(cfg, outdir, seed, tol_scale):
     from . import measures as ms
     from .dirichlet import boundary_measure_1d, integration_by_parts_check, slope_variational_check
     from .report import CheckReport
-    from .serialize import atomic_write_text
+    from .serialize import _csv_text, atomic_write_text
 
     gamma = _build_reference(cfg)
     tols = _tolerances(cfg, tol_scale)
@@ -309,11 +311,10 @@ def _cmd_dirichlet(cfg, outdir, seed, tol_scale):
         0.0,
         tols.get("tv", 1e-6),
     )
-    rows = ["center,width,density"] + [
-        f"{c:.17g},{w:.17g},{d:.17g}"
-        for c, w, d in zip(sigma.centers, sigma.widths, sigma.density)
-    ]
-    atomic_write_text(outdir / "boundary_density.csv", "\n".join(rows) + "\n")
+    rows = zip(sigma.centers.tolist(), sigma.widths.tolist(), sigma.density.tolist())
+    atomic_write_text(
+        outdir / "boundary_density.csv", _csv_text(["center", "width", "density"], rows)
+    )
 
     ibp = integration_by_parts_check(gamma.potential, np.sin, np.cos)
     report.add("integration_by_parts_gap", ibp.gap, 0.0, tols.get("ibp", 1e-6))

@@ -41,7 +41,6 @@ __all__ = [
     "QuantileLattice",
     "FlowTrajectory",
     "transition_trajectory",
-    "jko_step",
     "jko_step_detailed",
     "jko_trajectory",
     "RefineResult",
@@ -63,15 +62,13 @@ UNIFORM_APPROX_CONSTANT = 2.0 * (2.0 * math.sqrt(2.0) + 1.0)
 class JkoConfig:
     """Parameters of one implicit Euler step.
 
-    ``inner_tol`` bounds the accepted gradient norm of the inner Newton
-    solve relative to the objective scale. ``epsilon_schedule`` is reserved
-    for entropically smoothed inner solvers and is not consumed by the
-    exact Newton path.
+    ``inner_tol`` bounds the accepted Newton decrement of the inner solve
+    relative to the objective scale; ``max_inner_iters`` caps its Newton
+    iterations.
     """
 
     tau: float
     inner_tol: float = 1e-12
-    epsilon_schedule: tuple[float, ...] = (1.0, 0.3, 0.1, 0.03)
     max_inner_iters: int = 80
 
     def __post_init__(self):
@@ -381,39 +378,9 @@ def jko_step_detailed(
     cost_scale: float = 1.0,
     lattice: QuantileLattice | None = None,
 ) -> tuple[DiscreteMeasure, StepInfo]:
-    """One proximal step with solver diagnostics."""
-    lat = lattice if lattice is not None else QuantileLattice(gamma)
-    e_prev = lat.from_grid(mu)
-    e, value, ent, w2s, residual, iters, converged = _native_step(
-        lat, e_prev, cfg.tau, cost_scale, cfg.inner_tol, cfg.max_inner_iters
-    )
-    out = lat.to_measure(e)
-    info = StepInfo(
-        objective=value,
-        entropy=ent,
-        w2_sq=w2s,
-        residual=residual,
-        iterations=iters,
-        converged=converged,
-    )
-    if not converged:
-        raise JkoSolverError(
-            f"inner Newton residual {residual:.3e} above tolerance",
-            best_measure=out,
-            residual=residual,
-        )
-    return out, info
-
-
-def jko_step(
-    gamma: ReferenceMeasure,
-    mu: DiscreteMeasure,
-    cfg: JkoConfig,
-    cost_scale: float = 1.0,
-) -> DiscreteMeasure:
-    """Minimizer of H(nu|gamma) + W2^2(nu, mu)/(2 tau) on gamma's lattice."""
-    out, _ = jko_step_detailed(gamma, mu, cfg, cost_scale)
-    return out
+    """One proximal step with solver diagnostics: the one-step trajectory."""
+    traj = jko_trajectory(gamma, mu, cfg, cfg.tau, cost_scale, lattice)
+    return traj.final, traj.step_infos[0]
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +390,16 @@ def jko_step(
 class FlowTrajectory:
     """Time-stamped flow with per-step diagnostics.
 
-    ``times[0] = 0`` holds the initial measure. ``edges[k]`` is the native
-    quantile representation backing ``measures[k]``; increments, entropies
-    and residuals are computed in the native metric, where the per-step
-    inequalities are exact. ``evi_residuals[k]`` tests the step's
-    variational inequality against gamma itself.
+    ``edges[k]`` is the flow's native quantile state at ``times[k]``, with
+    ``times[0] = 0`` the initial state; it is the only state stored. Grid
+    views (``measure_at``, ``initial``, ``final``) are derived from the
+    edges on demand. Increments, entropies and residuals are computed in
+    the native metric, where the per-step inequalities are exact.
+    ``evi_residuals[k]`` tests the step's variational inequality against
+    gamma itself.
     """
 
     times: np.ndarray
-    measures: list[DiscreteMeasure]
     edges: list[np.ndarray]
     entropies: np.ndarray
     w2_increments: np.ndarray
@@ -446,21 +414,21 @@ class FlowTrajectory:
         if t <= 0:
             return 0
         k = int(math.ceil(t / self.config.tau - 1e-9))
-        return min(k, len(self.measures) - 1)
+        return min(k, len(self.edges) - 1)
 
     def measure_at(self, t: float) -> DiscreteMeasure:
-        return self.measures[self.index_at(t)]
+        return self.lattice.to_measure(self.edges_at(t))
 
     def edges_at(self, t: float) -> np.ndarray:
         return self.edges[self.index_at(t)]
 
     @property
     def initial(self) -> DiscreteMeasure:
-        return self.measures[0]
+        return self.lattice.to_measure(self.edges[0])
 
     @property
     def final(self) -> DiscreteMeasure:
-        return self.measures[-1]
+        return self.lattice.to_measure(self.edges[-1])
 
 
 def jko_trajectory(
@@ -488,7 +456,6 @@ def jko_trajectory(
 
     n_steps = int(math.ceil(T / cfg.tau - 1e-9))
     times = [0.0]
-    measures = [lat.to_measure(e)]
     edges = [e]
     entropies = [lat.entropy(e)]
     increments = []
@@ -512,7 +479,6 @@ def jko_trajectory(
         increments.append(math.sqrt(max(w2s, 0.0)))
         times.append((k + 1) * cfg.tau)
         entropies.append(ent)
-        measures.append(lat.to_measure(e_next))
         edges.append(e_next)
         infos.append(info)
         e = e_next
@@ -520,7 +486,6 @@ def jko_trajectory(
 
     return FlowTrajectory(
         times=np.asarray(times),
-        measures=measures,
         edges=edges,
         entropies=np.asarray(entropies),
         w2_increments=np.asarray(increments),
@@ -732,8 +697,9 @@ def estimate_checks(
         worst_reg = max(worst_reg, traj.entropies[i] - best)
     report.add("regularizing_effect", worst_reg, 0.0, regularizing_tol)
 
-    if traj.initial.n == 1:
-        x = float(traj.initial.x[0])
+    start = traj.initial
+    if start.n == 1:
+        x = float(start.x[0])
         cost = dirac_transport_cost(gamma, x)
         worst = -math.inf
         for i in idxs:

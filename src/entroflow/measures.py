@@ -12,7 +12,7 @@ where the reference vanishes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
@@ -370,10 +370,12 @@ class AffineMaxPotential(ConvexPotential):
         d = masked.max(axis=1) if side == "right" else masked.min(axis=1)
         return d.reshape(x.shape)
 
-    def kinks(self):
-        # envelope breakpoints: intersections of consecutive active lines
-        xs = []
+    def __post_init__(self):
+        # the envelope depends on the lines only, so its breakpoints, the
+        # active line per segment and the antiderivative's continuity
+        # shifts are built once per instance
         s, b = self.slopes, self.intercepts
+        xs = []
         for i in range(len(s) - 1):
             if s[i + 1] == s[i]:
                 continue
@@ -381,17 +383,7 @@ class AffineMaxPotential(ConvexPotential):
             v = float(self.value(np.array([t]))[0])
             if v <= s[i] * t + b[i] + 1e-10:
                 xs.append(t)
-        return np.unique(np.asarray(xs, dtype=float))
-
-    def argmin(self):
-        ks = self.kinks()
-        candidates = list(ks) if len(ks) else [0.0]
-        vals = [float(self.value(np.array([c]))[0]) for c in candidates]
-        return float(candidates[int(np.argmin(vals))])
-
-    def _segments(self):
-        """Envelope segments: boundaries and the active line per segment."""
-        ks = self.kinks()
+        ks = np.unique(np.asarray(xs, dtype=float))
         bounds = np.concatenate([[-np.inf], ks, [np.inf]])
         probes = []
         for i in range(len(bounds) - 1):
@@ -402,26 +394,33 @@ class AffineMaxPotential(ConvexPotential):
                 probes.append(lo + 1.0)
             else:
                 probes.append(0.5 * (lo + hi))
-        active = np.argmax(
-            np.outer(np.asarray(probes), self.slopes) + self.intercepts, axis=1
-        )
-        return bounds, active
-
-    def antiderivative(self, x):
-        x = np.asarray(x, dtype=float)
-        bounds, active = self._segments()
-        ks = bounds[1:-1]
-        s = self.slopes[active]
-        b = self.intercepts[active]
+        active = np.argmax(np.outer(np.asarray(probes), s) + b, axis=1)
+        seg_s, seg_b = s[active], b[active]
 
         def raw(seg, t):
-            return 0.5 * s[seg] * t * t + b[seg] * t
+            return 0.5 * seg_s[seg] * t * t + seg_b[seg] * t
 
-        # continuity constants accumulated across breakpoints
         shifts = np.zeros(len(active))
         for i in range(1, len(active)):
             k = ks[i - 1]
             shifts[i] = shifts[i - 1] + raw(i - 1, k) - raw(i, k)
+        for arr in (ks, seg_s, seg_b, shifts):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_envelope", (ks, seg_s, seg_b, shifts))
+
+    def kinks(self):
+        """Envelope breakpoints: intersections of consecutive active lines."""
+        return self._envelope[0]
+
+    def argmin(self):
+        ks = self.kinks()
+        candidates = list(ks) if len(ks) else [0.0]
+        vals = [float(self.value(np.array([c]))[0]) for c in candidates]
+        return float(candidates[int(np.argmin(vals))])
+
+    def antiderivative(self, x):
+        x = np.asarray(x, dtype=float)
+        ks, s, b, shifts = self._envelope
         seg = np.searchsorted(ks, x, side="right")
         return 0.5 * s[seg] * x * x + b[seg] * x + shifts[seg]
 
@@ -763,9 +762,6 @@ class DiscreteMeasure:
         if self.dim != 1:
             raise ValueError("x is defined for 1-D measures only")
         return self.support[:, 0]
-
-    def with_norm(self, norm: NormSpec | None) -> "DiscreteMeasure":
-        return replace(self, norm=norm)
 
 
 def grid_measure(gamma: ReferenceMeasure, weights) -> DiscreteMeasure:

@@ -22,7 +22,6 @@ __all__ = [
     "SdeSample",
     "fp_solve",
     "ou_transition_exact",
-    "ou_flow_moments",
     "gaussian_kl",
     "neumann_uniform_kernel",
     "neumann_tail_bound",
@@ -86,6 +85,32 @@ def _fp_generator(potential: ConvexPotential, grid: np.ndarray, h: float):
     return lower, diag, upper
 
 
+def _theta_stepper(lower, diag, upper, dt: float, theta: float):
+    """Stepper of the theta scheme (I - theta dt L) u' = (I + (1 - theta) dt L) u.
+
+    L is the tridiagonal generator given by its three bands. The banded
+    matrix is built once; the returned function takes one step of a
+    right-hand side of shape (n,) or (n, B).
+    """
+    imp = theta * dt
+    ab = np.zeros((3, len(diag)))
+    ab[0, 1:] = -imp * upper
+    ab[1] = 1.0 - imp * diag
+    ab[2, :-1] = -imp * lower
+    ex = (1.0 - theta) * dt
+    ex_upper = ex * upper
+    ex_lower = ex * lower
+
+    def step(q):
+        col = (slice(None),) + (None,) * (q.ndim - 1)
+        out = q + ex * (diag[col] * q)
+        out[:-1] += ex_upper[col] * q[1:]
+        out[1:] += ex_lower[col] * q[:-1]
+        return solve_banded((1, 1), ab, out)
+
+    return step
+
+
 def fp_solve(
     potential: ConvexPotential,
     mu0: DiscreteMeasure,
@@ -138,30 +163,15 @@ def fp_solve(
             raise ValueError(
                 f"stability violation: (1-theta) dt max|L| = {(1 - theta) * dt * rate:.2f} > 1"
             )
-    n = len(grid)
-
-    def banded(theta_eff, sign):
-        ab = np.zeros((3, n))
-        ab[0, 1:] = sign * theta_eff * dt * upper
-        ab[1] = 1.0 + sign * theta_eff * dt * diag
-        ab[2, :-1] = sign * theta_eff * dt * lower
-        return ab
+    damped = _theta_stepper(lower, diag, upper, dt, 1.0)
+    stepper = _theta_stepper(lower, diag, upper, dt, theta)
 
     p = weights0
     times = [0.0]
     dens = [p.copy()]
     min_density = 0.0
-
-    def apply_explicit(theta_eff, q):
-        out = q + (1.0 - theta_eff) * dt * (diag * q)
-        out[:-1] += (1.0 - theta_eff) * dt * upper * q[1:]
-        out[1:] += (1.0 - theta_eff) * dt * lower * q[:-1]
-        return out
-
     for k in range(n_steps):
-        theta_eff = 1.0 if k < rannacher else theta
-        rhs = apply_explicit(theta_eff, p)
-        p = solve_banded((1, 1), banded(theta_eff, -1.0), rhs)
+        p = (damped if k < rannacher else stepper)(p)
         min_density = min(min_density, float(p.min()))
         if p.min() < -1e-10:
             p = np.maximum(p, 0.0)
@@ -204,15 +214,6 @@ def ou_transition_exact(x: float, t: float, stiffness: float = 1.0) -> OuMoments
         raise ValueError("time must be nonnegative")
     a = stiffness
     return OuMoments(mean=x * math.exp(-a * t), variance=(1.0 - math.exp(-2.0 * a * t)) / a)
-
-
-def ou_flow_moments(mean0: float, var0: float, t: float, stiffness: float = 1.0) -> OuMoments:
-    """Law at time t of the same dynamics started from N(mean0, var0)."""
-    a = stiffness
-    return OuMoments(
-        mean=mean0 * math.exp(-a * t),
-        variance=1.0 / a + (var0 - 1.0 / a) * math.exp(-2.0 * a * t),
-    )
 
 
 def gaussian_kl(mean: float, var: float, mean_ref: float = 0.0, var_ref: float = 1.0) -> float:
@@ -349,22 +350,10 @@ def semigroup_matrix(
     if method == "fp":
         dt = dt if dt is not None else max(t / 400.0, 1e-4)
         lower, diag, upper = _fp_generator(gamma.potential, gamma.grid, gamma.cell_width)
-        n_steps = int(math.ceil(t / dt - 1e-9))
+        step = _theta_stepper(lower, diag, upper, dt, 0.5)
         u = np.eye(n)
-        ab = np.zeros((3, n))
-        half = 0.5 * dt
-        ab[0, 1:] = -half * upper
-        ab[1] = 1.0 - half * diag
-        ab[2, :-1] = -half * lower
-
-        def explicit(q):
-            out = q + half * (diag[:, None] * q)
-            out[:-1] += half * upper[:, None] * q[1:]
-            out[1:] += half * lower[:, None] * q[:-1]
-            return out
-
-        for _ in range(n_steps):
-            u = solve_banded((1, 1), ab, explicit(u))
+        for _ in range(int(math.ceil(t / dt - 1e-9))):
+            u = step(u)
         return np.clip(u.T, 0.0, None) / np.clip(u.T, 0.0, None).sum(axis=1, keepdims=True)
     if method == "jko":
         if cfg is None:

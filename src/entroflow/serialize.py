@@ -49,8 +49,9 @@ def _csv_text(header: list[str], rows) -> str:
     out = []
     out.append(",".join(header))
     for row in rows:
-        out.append(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row))
-    return "\n".join(out) + "\n"
+        out.append(",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]))
+    out.append("")  # closing newline, without copying the joined text once more
+    return "\n".join(out)
 
 
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:

@@ -34,7 +34,6 @@ __all__ = [
     "cyclical_monotonicity_check",
     "MonotonicityResult",
     "project_norm",
-    "w2_to_gaussian",
 ]
 
 MARGINAL_TOL = 1e-9
@@ -200,11 +199,6 @@ def monotone_coupling_with_duals(xa, wa, xb, wb, cost_scale: float = 1.0):
     return ia, ib, mass, cost, beta, alpha
 
 
-def _sorted_1d(mu: DiscreteMeasure):
-    # factory already sorts and merges; positive weights guaranteed
-    return mu.x, mu.weights
-
-
 def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact 1-D quadratic Wasserstein distance via the quantile coupling.
 
@@ -213,8 +207,9 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("w2_exact_1d needs one-dimensional measures")
-    xa, wa = _sorted_1d(mu)
-    xb, wb = _sorted_1d(nu)
+    # the factory already sorts and merges atoms and keeps positive weights
+    xa, wa = mu.x, mu.weights
+    xb, wb = nu.x, nu.weights
     ia, ib, mass, cost, beta, alpha = monotone_coupling_with_duals(xa, wa, xb, wb)
     coupling = Coupling(
         rows=ia,
@@ -612,10 +607,3 @@ def w2_knots_to_gaussian(knots, mean: float, std: float) -> float:
     a2 = u - zphi
     total = float(np.sum(p0)) - 2.0 * std * cross + std * std * float(a2[-1] - a2[0])
     return math.sqrt(max(total, 0.0))
-
-
-def w2_to_gaussian(mu: DiscreteMeasure, mean: float, std: float) -> float:
-    """Exact W2 between a 1-D discrete (atomic) measure and N(mean, std^2)."""
-    if mu.dim != 1:
-        raise ValueError("gaussian comparison is one-dimensional")
-    return w2_knots_to_gaussian(atomic_quantile_knots(mu.x, mu.weights), mean, std)

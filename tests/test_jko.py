@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import entroflow as ef
-from entroflow.jko import QuantileLattice, _native_step
+from entroflow.jko import QuantileLattice, StepInfo, _native_step
 from entroflow.transport import w2_knots_to_gaussian
 from conftest import random_grid_measure
 
@@ -93,10 +93,8 @@ class TestStep:
                 return 1e9
             return ent + lat.w2_sq(edges, e_prev) / (2 * tau)
 
-        z0 = np.concatenate([[e[0] - lat.gamma_edges[0]], np.diff(e)])
-        z0[0] = e[0] - lat.gamma_edges[0] + 1e-30
         res = minimize(
-            lambda z: objective(z + z0 * 0 + z),
+            objective,
             np.concatenate([[0.0], np.diff(e_prev)]) + 1e-6,
             method="Nelder-Mead",
             options={"maxiter": 40000, "xatol": 1e-10, "fatol": 1e-12},
@@ -155,6 +153,27 @@ class TestStep:
         assert math.isfinite(info.entropy)
         assert out.n > 10  # spread over many cells immediately
 
+    @pytest.mark.parametrize("ref_name", ["gaussian_ref", "uniform_ref", "quartic_ref"])
+    def test_step_is_one_step_trajectory(self, ref_name, request):
+        gamma = request.getfixturevalue(ref_name)
+        cfg = ef.JkoConfig(tau=0.02)
+        lat = QuantileLattice(gamma)
+        x = float(gamma.grid[gamma.n // 3])
+        for mu in (gamma.as_measure(), ef.dirac_on_grid(gamma, x)):
+            out, info = ef.jko_step_detailed(gamma, mu, cfg, lattice=lat)
+            # the one-step flow, run directly through the Newton kernel
+            e_prev = lat.from_grid(mu)
+            e, value, ent, w2s, residual, iters, converged = _native_step(
+                lat, e_prev, cfg.tau, 1.0, cfg.inner_tol, cfg.max_inner_iters
+            )
+            expected = lat.to_measure(e)
+            assert np.array_equal(out.x, expected.x)
+            assert np.array_equal(out.weights, expected.weights)
+            assert info == StepInfo(value, ent, w2s, residual, iters, converged)
+            traj = ef.jko_trajectory(gamma, mu, cfg, cfg.tau, lattice=lat)
+            assert len(traj.step_infos) == 1 and traj.step_infos[0] == info
+            assert np.array_equal(traj.final.weights, out.weights)
+
     def test_solver_error_carries_best(self, gaussian_ref):
         cfg = ef.JkoConfig(tau=1e-3, max_inner_iters=1, inner_tol=1e-16)
         mu = ef.gaussian_on_grid(gaussian_ref, 2.0, 0.3)
@@ -171,6 +190,21 @@ class TestTrajectory:
         )
         assert max(traj.w2_increments) < 1e-3
         assert traj.lattice.w2(traj.edges[-1], traj.edges[0]) < 1e-3
+
+    def test_grid_views_derive_from_edges(self, gaussian_ref_coarse):
+        mu0 = ef.gaussian_on_grid(gaussian_ref_coarse, 1.0, 0.5)
+        traj = ef.jko_trajectory(gaussian_ref_coarse, mu0, ef.JkoConfig(tau=0.02), 0.1)
+        lat = traj.lattice
+
+        def same(a, b):
+            return np.array_equal(a.x, b.x) and np.array_equal(a.weights, b.weights)
+
+        assert same(traj.initial, lat.to_measure(traj.edges[0]))
+        assert same(traj.final, lat.to_measure(traj.edges[-1]))
+        # steps cover (k tau, (k+1) tau]; times past the horizon read the last state
+        for t, k in ((-1.0, 0), (0.0, 0), (0.01, 1), (0.02, 1), (0.05, 3), (0.1, 5), (3.0, 5)):
+            assert traj.index_at(t) == k
+            assert same(traj.measure_at(t), lat.to_measure(traj.edges[k]))
 
     def test_ou_flow_tracks_analytic(self, gaussian_ref):
         # mean e^{-t}, variance 1 + (0.25 - 1) e^{-2t}

@@ -197,3 +197,53 @@ class TestCli:
 
     def test_missing_config_exit_2(self, capsys):
         assert cli_main(["flow"]) == 2
+
+    def test_csv_artifacts_round_trip_floats(self, tmp_path):
+        from entroflow.dirichlet import boundary_measure_1d
+        from entroflow.oracles import fp_solve, sde_simulate
+
+        cfg = {
+            "potential": {"kind": "quadratic", "a": 1.0},
+            "grid": {"n": 60, "bounds": [-8, 8]},
+            "jko": {"tau": 0.05},
+            "initial": {"kind": "gaussian", "mean": 0.5, "std": 1.0},
+            "horizon": 0.1,
+            "x": 0.5,
+            "sequence": {"kind": "variance_perturbed", "ns": [4, 16]},
+            "oracle": {"dt": 1e-2, "paths": 50},
+            "tolerances": {"flow_gap": 0.1, "gamma_gap": 0.05},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "rt"
+        for command in ("fp", "sde", "stability", "dirichlet"):
+            assert cli_main([command, str(path), "--out", str(out), "--seed", "3"]) == 0
+
+        def table(name):
+            lines = (out / name).read_text().splitlines()
+            return lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
+        sol = fp_solve(
+            gamma.potential, ef.gaussian_on_grid(gamma, 0.5, 1.0), 0.1, 1e-2, grid=gamma.grid
+        )
+        header, rows = table("fp_densities.csv")
+        assert [float(v) for v in header[1:]] == sol.grid.tolist()
+        assert rows == [[t] + d for t, d in zip(sol.times.tolist(), sol.densities.tolist())]
+
+        header, rows = table("sde_terminal.csv")
+        sample = sde_simulate(gamma.potential, 0.5, 0.1, 1e-2, 50, 3)
+        assert header == ["terminal"]
+        assert [r[0] for r in rows] == sample.terminal_points.tolist()
+
+        header, rows = table("stability_gaps.csv")
+        manifest = json.loads((out / "stability_manifest.json").read_text())
+        assert header == ["n", "gap"]
+        assert rows == [[float(n), g] for n, g in zip(manifest["ns"], manifest["gaps"])]
+
+        header, rows = table("boundary_density.csv")
+        sigma = boundary_measure_1d(gamma.potential)
+        assert header == ["center", "width", "density"]
+        assert rows == [
+            list(r) for r in zip(sigma.centers.tolist(), sigma.widths.tolist(), sigma.density.tolist())
+        ]
