@@ -1,10 +1,12 @@
 """Configuration-driven experiment runner.
 
 Subcommands: flow, step, transition, fp, sde, stability, dirichlet,
-check-all. Each consumes a JSON config, writes CSV artifacts plus a JSON
-manifest into the output directory, and exits 0 on success, 1 on a failed
-numerical check (naming the check id), or 2 on a config schema violation
-(naming the field path).
+check-all. Each consumes a JSON config, checked against the subcommand's
+schema before any work starts, writes CSV artifacts plus a JSON manifest
+into the output directory, and exits 0 on success, 1 on a failed numerical
+check (naming the check id), 2 on a config error (naming the field path),
+or 3 when a solver or oracle fails (the manifest then carries a ``failure``
+record instead of checks).
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 import time
+from collections import namedtuple
 from pathlib import Path
 
 __all__ = ["main", "run", "ConfigError"]
@@ -25,214 +28,272 @@ class ConfigError(ValueError):
         self.field_path = path
 
 
-def _get(cfg: dict, path: str, kind, default=None, required: bool = False):
-    node = cfg
+# a config field's kind, whether it is required, and its default; a default of None
+# leaves the value to the library call the field feeds (for ``times``, to its use)
+Field = namedtuple("Field", "kind required default", defaults=(False, None))
+
+
+def _number(v) -> bool:
+    # type() rather than isinstance: true and false are never numbers here
+    return type(v) in (int, float) and (type(v) is int or math.isfinite(v))
+
+
+def _list(v, test) -> bool:
+    return type(v) is list and all(map(test, v))
+
+
+def _positive(v) -> bool:
+    return _number(v) and v > 0
+
+
+_KINDS = {  # kind -> (test, what a failing value was expected to be)
+    "number": (_number, "a number"),
+    "positive": (_positive, "a positive number"),
+    "count": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
+    "string": (lambda v: type(v) is str, "a string"),
+    "numbers": (lambda v: _list(v, _number), "a list of numbers"),
+    "positives": (lambda v: _list(v, _positive) and len(v) > 0, "a non-empty list of positive numbers"),
+    "interval": (lambda v: _list(v, _number) and len(v) == 2, "[lo, hi], two numbers"),
+    "pairs": (lambda v: _list(v, _KINDS["interval"][0]), "a list of [slope, intercept] number pairs"),
+}
+
+_NUMBER, _REQUIRED_NUMBER = Field("number"), Field("number", True)
+_VARIANTS = {  # object kinds whose fields depend on their own "kind" entry
+    "potential": {
+        "quadratic": {"a": _REQUIRED_NUMBER, "m": _NUMBER},
+        "quartic": {"a": _REQUIRED_NUMBER, "b": _NUMBER},
+        "abs": {"a": _REQUIRED_NUMBER, "c": _NUMBER},
+        "box": {"lo": _REQUIRED_NUMBER, "hi": _REQUIRED_NUMBER, "inner": Field("potential")},
+        "affine_max": {"pieces": Field("pairs", True)},
+        "tabulated": {"xs": Field("numbers", True), "vals": Field("numbers", True)},
+    },
+    "initial": {
+        "reference": {},
+        "gaussian": {"mean": _REQUIRED_NUMBER, "std": Field("positive", True)},
+        "dirac": {"x": _REQUIRED_NUMBER},
+    },
+}
+
+_FIELDS = {  # every config field, with its one kind and default
+    "output_dir": Field("string", default="entroflow_out"),
+    "oracle.seed": Field("seed", default=0),
+    "potential": Field("potential", True),
+    "grid.n": Field("count", True),
+    "grid.bounds": Field("interval"),
+    "initial": Field("initial", default={"kind": "reference"}),
+    "jko.tau": Field("positive", True),
+    "jko.inner_tol": Field("positive"),
+    "jko.max_inner_iters": Field("count"),
+    "horizon": Field("positive", True),
+    "times": Field("numbers"),
+    "x": _REQUIRED_NUMBER,
+    "t": Field("positive", True),
+    "oracle.dt": Field("positive", True),
+    "oracle.paths": Field("count", True),
+    "sequence.kind": Field("string", True),
+    "sequence.ns": Field("positives"),
+    "tolerances.entropy_decrease": Field("positive", default=1e-10),
+    "tolerances.flow_gap": Field("positive"),
+    "tolerances.gamma_gap": Field("positive"),
+    "tolerances.tv": Field("positive", default=1e-6),
+    "tolerances.ibp": Field("positive", default=1e-6),
+}
+_REFERENCE, _JKO = "potential grid.n grid.bounds", "jko.tau jko.inner_tol jko.max_inner_iters"
+_SCHEMAS = {  # the fields each subcommand reads; run() reads output_dir and oracle.seed
+    command: {path: _FIELDS[path] for path in f"output_dir oracle.seed {names}".split()}
+    for command, names in {
+        "flow": f"{_REFERENCE} initial {_JKO} horizon times tolerances.entropy_decrease",
+        "step": f"{_REFERENCE} initial {_JKO}",
+        "transition": f"{_REFERENCE} {_JKO} x t",
+        "fp": f"{_REFERENCE} initial horizon oracle.dt",
+        "sde": f"{_REFERENCE} horizon x oracle.dt oracle.paths",
+        "stability": f"potential grid.n sequence.kind sequence.ns {_JKO} horizon x"
+        " tolerances.flow_gap tolerances.gamma_gap",
+        "dirichlet": f"{_REFERENCE} tolerances.tv tolerances.ibp",
+        "check-all": "",
+    }.items()
+}
+_SCHEMAS["stability"]["grid.n"] = Field("count")  # build_sequence has the default
+
+
+def _lookup(node: dict, path: str):
+    """Value at a dotted path, None when absent; every parent must be an object."""
     parts = path.split(".")
-    for p in parts[:-1]:
-        node = node.get(p, {}) if isinstance(node, dict) else {}
-    val = node.get(parts[-1], None) if isinstance(node, dict) else None
-    if val is None:
-        if required:
-            raise ConfigError(path, "missing")
-        return default
-    if kind is float and isinstance(val, (int, float)):
-        return float(val)
-    if not isinstance(val, kind):
-        raise ConfigError(path, f"expected {kind.__name__}")
-    return val
+    for i, part in enumerate(parts[:-1]):
+        node = node.get(part)
+        if node is None:
+            return None
+        if not isinstance(node, dict):
+            raise ConfigError(".".join(parts[: i + 1]), "expected an object")
+    return node.get(parts[-1])
 
 
-def _positive(cfg: dict, path: str, default=None, required=False) -> float:
-    val = _get(cfg, path, float, default, required)
-    if val is not None and val <= 0:
-        raise ConfigError(path, "must be positive")
-    return val
+def _check(node: dict, fields: dict, prefix: str = "", tol_scale: float = 1.0) -> dict:
+    """Checked values by field path, with defaults filled in.
+
+    Scalar numbers come back as floats, configured ``tolerances.*`` scaled by
+    ``tol_scale``; lists and objects come back as given.
+    """
+    out = {}
+    for path, spec in fields.items():
+        full = prefix + path
+        val = _lookup(node, path)
+        if val is None:
+            if spec.required:
+                raise ConfigError(full, "missing")
+            out[full] = spec.default
+            continue
+        if spec.kind in _VARIANTS:
+            table = _VARIANTS[spec.kind]
+            if not isinstance(val, dict):
+                raise ConfigError(full, "expected an object")
+            kind = val.get("kind")
+            if type(kind) is not str or kind not in table:
+                raise ConfigError(f"{full}.kind", f"expected one of {', '.join(table)}")
+            _check(val, table[kind], f"{full}.")
+        else:
+            test, expected = _KINDS[spec.kind]
+            if not test(val):
+                raise ConfigError(full, f"expected {expected}")
+            if spec.kind in ("number", "positive"):
+                val = float(val)
+            if full.startswith("tolerances."):
+                val *= tol_scale
+        out[full] = val
+    return out
 
 
-def _build_reference(cfg: dict):
+def _given(**kwargs) -> dict:
+    """The keyword arguments a config sets; the others keep their library defaults."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+def _potential(c: dict):
+    from .measures import potential_from_descriptor
+
+    try:
+        return potential_from_descriptor(c["potential"])
+    except ValueError as exc:
+        raise ConfigError("potential", str(exc)) from exc
+
+
+def _reference(c: dict):
     from . import measures as ms
 
-    desc = _get(cfg, "potential", dict, required=True)
+    pot = _potential(c)
+    bounds = c["grid.bounds"] or ms.suggested_bounds(pot)
     try:
-        pot = ms.potential_from_descriptor(desc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("potential", str(exc)) from exc
-    n = _get(cfg, "grid.n", int, required=True)
-    bounds = _get(cfg, "grid.bounds", list)
-    if bounds is None:
-        bounds = ms.suggested_bounds(pot)
-    elif len(bounds) != 2:
-        raise ConfigError("grid.bounds", "expected [lo, hi]")
-    try:
-        return ms.discretize_reference(pot, n, tuple(bounds))
+        return ms.discretize_reference(pot, c["grid.n"], tuple(bounds))
     except ValueError as exc:
         raise ConfigError("grid", str(exc)) from exc
 
 
-def _build_initial(cfg: dict, gamma):
+def _initial(c: dict, gamma):
     from . import measures as ms
 
-    desc = _get(cfg, "initial", dict, default={"kind": "reference"})
-    kind = desc.get("kind")
-    if kind == "reference":
-        return gamma.as_measure()
-    if kind == "gaussian":
+    desc = c["initial"]
+    if desc["kind"] == "gaussian":
         return ms.gaussian_on_grid(gamma, float(desc["mean"]), float(desc["std"]))
-    if kind == "dirac":
+    if desc["kind"] == "dirac":
         return ms.dirac_on_grid(gamma, float(desc["x"]))
-    raise ConfigError("initial.kind", f"unknown kind {kind!r}")
+    return gamma.as_measure()
 
 
-def _jko_config(cfg: dict):
+def _jko_config(c: dict):
     from .jko import JkoConfig
 
-    tau = _positive(cfg, "jko.tau", required=True)
-    inner_tol = _positive(cfg, "jko.inner_tol", default=1e-12)
-    iters = _get(cfg, "jko.max_inner_iters", int, default=80)
-    return JkoConfig(tau=tau, inner_tol=inner_tol, max_inner_iters=iters)
-
-
-def _tolerances(cfg: dict, scale: float) -> dict:
-    tols = _get(cfg, "tolerances", dict, default={})
-    for key, val in tols.items():
-        if not isinstance(val, (int, float)) or val <= 0:
-            raise ConfigError(f"tolerances.{key}", "must be a positive number")
-    return {k: float(v) * scale for k, v in tols.items()}
-
-
-def _manifest_base(cfg: dict, seed: int | None) -> dict:
-    from . import __version__
-
-    return {
-        "config": cfg,
-        "version": __version__,
-        "seed": seed,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-def _emit(outdir: Path, name: str, manifest: dict, report) -> int:
-    from .serialize import write_manifest
-
-    manifest["checks"] = report.to_dict()
-    write_manifest(outdir / f"{name}_manifest.json", manifest)
-    if not report.passed:
-        failed = ", ".join(item.check_id for item in report.failures())
-        print(f"FAILED checks: {failed}", file=sys.stderr)
-        return 1
-    print(f"ok: {name} -> {outdir}")
-    return 0
+    return JkoConfig(
+        **_given(tau=c["jko.tau"], inner_tol=c["jko.inner_tol"], max_inner_iters=c["jko.max_inner_iters"])
+    )
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its check report and its own manifest entries
 # ---------------------------------------------------------------------------
-def _cmd_flow(cfg, outdir, seed, tol_scale):
+def _cmd_flow(c, outdir, seed, tol_scale):
     import numpy as np
 
     from .jko import UNIFORM_APPROX_CONSTANT, estimate_checks, jko_trajectory
     from .serialize import write_measure_csv, write_reference, write_trajectory_csv
 
-    gamma = _build_reference(cfg)
-    mu0 = _build_initial(cfg, gamma)
-    jcfg = _jko_config(cfg)
-    horizon = _positive(cfg, "horizon", required=True)
-    traj = jko_trajectory(gamma, mu0, jcfg, horizon)
+    gamma = _reference(c)
+    horizon = c["horizon"]
+    traj = jko_trajectory(gamma, _initial(c, gamma), _jko_config(c), horizon)
 
     write_reference(outdir / "reference", gamma)
     write_trajectory_csv(outdir / "trajectory.csv", traj)
-    times = _get(cfg, "times", list, default=[horizon])
+    times = c["times"] if c["times"] is not None else [horizon]
     for t in times:
         write_measure_csv(outdir / f"measure_t{t:g}.csv", traj.measure_at(float(t)))
 
     report = estimate_checks(traj, gamma, rng=np.random.default_rng(seed))
-    tols = _tolerances(cfg, tol_scale)
-    entropy_slack = tols.get("entropy_decrease", 1e-10)
     worst_increase = float(np.max(np.diff(traj.entropies))) if len(traj.entropies) > 1 else 0.0
-    report.add("entropy_nonincreasing", worst_increase, 0.0, entropy_slack)
+    report.add("entropy_nonincreasing", worst_increase, 0.0, c["tolerances.entropy_decrease"])
+    return report, {
+        "final_entropy": float(traj.entropies[-1]),
+        "steps": len(traj.w2_increments),
+        "uniform_approx_constant": UNIFORM_APPROX_CONSTANT,
+    }
 
-    manifest = _manifest_base(cfg, seed)
-    manifest["final_entropy"] = float(traj.entropies[-1])
-    manifest["steps"] = len(traj.w2_increments)
-    manifest["uniform_approx_constant"] = UNIFORM_APPROX_CONSTANT
-    return _emit(outdir, "flow", manifest, report)
 
-
-def _cmd_step(cfg, outdir, seed, tol_scale):
+def _cmd_step(c, outdir, seed, tol_scale):
     from .jko import jko_step_detailed
     from .report import CheckReport
     from .serialize import write_measure_csv
 
-    gamma = _build_reference(cfg)
-    mu = _build_initial(cfg, gamma)
-    jcfg = _jko_config(cfg)
+    gamma = _reference(c)
+    mu = _initial(c, gamma)
+    jcfg = _jko_config(c)
     out, info = jko_step_detailed(gamma, mu, jcfg)
     write_measure_csv(outdir / "before.csv", mu)
     write_measure_csv(outdir / "after.csv", out)
     report = CheckReport()
     report.add("inner_gap", info.residual, 0.0, max(jcfg.inner_tol * 10, 1e-9))
-    manifest = _manifest_base(cfg, seed)
-    manifest["objective"] = info.objective
-    manifest["entropy"] = info.entropy
-    manifest["w2_sq"] = info.w2_sq
-    return _emit(outdir, "step", manifest, report)
+    return report, {"objective": info.objective, "entropy": info.entropy, "w2_sq": info.w2_sq}
 
 
-def _cmd_transition(cfg, outdir, seed, tol_scale):
+def _cmd_transition(c, outdir, seed, tol_scale):
     from .jko import dirac_transport_cost, transition_trajectory
     from .report import CheckReport
     from .serialize import write_measure_csv
 
-    gamma = _build_reference(cfg)
-    jcfg = _jko_config(cfg)
-    x = _get(cfg, "x", float, required=True)
-    t = _positive(cfg, "t", required=True)
-    traj = transition_trajectory(gamma, x, t, jcfg)
+    gamma = _reference(c)
+    t = c["t"]
+    traj = transition_trajectory(gamma, c["x"], t, _jko_config(c))
     write_measure_csv(outdir / "transition.csv", traj.measure_at(t))
     report = CheckReport()
     start = float(traj.initial.x[0])
     bound = dirac_transport_cost(gamma, start) / (2.0 * t)
     report.add("transition_entropy_bound", float(traj.entropies[-1]), bound, 0.0)
-    manifest = _manifest_base(cfg, seed)
-    manifest["snapped_start"] = start
-    return _emit(outdir, "transition", manifest, report)
+    return report, {"snapped_start": start}
 
 
-def _cmd_fp(cfg, outdir, seed, tol_scale):
-    import numpy as np
-
+def _cmd_fp(c, outdir, seed, tol_scale):
     from .oracles import fp_solve
     from .report import CheckReport
     from .serialize import _csv_text, atomic_write_text
 
-    gamma = _build_reference(cfg)
-    mu0 = _build_initial(cfg, gamma)
-    dt = _positive(cfg, "oracle.dt", required=True)
-    horizon = _positive(cfg, "horizon", required=True)
-    sol = fp_solve(gamma.potential, mu0, horizon, dt, grid=gamma.grid)
+    gamma = _reference(c)
+    dt = c["oracle.dt"]
+    sol = fp_solve(gamma.potential, _initial(c, gamma), c["horizon"], dt, grid=gamma.grid)
     header = ["t"] + [f"{x:.17g}" for x in sol.grid.tolist()]
     rows = ([t] + dens.tolist() for t, dens in zip(sol.times.tolist(), sol.densities))
     atomic_write_text(outdir / "fp_densities.csv", _csv_text(header, rows))
     report = CheckReport()
     report.add("mass_conserved", float(abs(sol.densities[-1].sum() - 1.0)), 0.0, 1e-9)
     report.add("nonnegative", float(-sol.min_density), 0.0, 1e-10)
-    manifest = _manifest_base(cfg, seed)
-    manifest["dt"] = dt
-    manifest["theta"] = sol.theta
-    return _emit(outdir, "fp", manifest, report)
+    return report, {"dt": dt, "theta": sol.theta}
 
 
-def _cmd_sde(cfg, outdir, seed, tol_scale):
+def _cmd_sde(c, outdir, seed, tol_scale):
     from .oracles import sde_simulate
     from .report import CheckReport
     from .serialize import _csv_text, atomic_write_text
 
-    gamma = _build_reference(cfg)
-    dt = _positive(cfg, "oracle.dt", required=True)
-    n_paths = _get(cfg, "oracle.paths", int, required=True)
-    x = _get(cfg, "x", float, required=True)
-    horizon = _positive(cfg, "horizon", required=True)
-    sample = sde_simulate(gamma.potential, x, horizon, dt, n_paths, seed)
+    gamma = _reference(c)
+    dt, n_paths = c["oracle.dt"], c["oracle.paths"]
+    sample = sde_simulate(gamma.potential, c["x"], c["horizon"], dt, n_paths, seed)
     # numpy scalars rather than one list of all floats keep the peak memory low
     rows = zip(sample.terminal_points)
     atomic_write_text(outdir / "sde_terminal.csv", _csv_text(["terminal"], rows))
@@ -243,93 +304,62 @@ def _cmd_sde(cfg, outdir, seed, tol_scale):
             ((sample.terminal_points < lo) | (sample.terminal_points > hi)).mean()
         )
         report.add("paths_in_domain", outside, 0.0, 0.0)
-    manifest = _manifest_base(cfg, seed)
-    manifest["dt"] = dt
-    manifest["paths"] = n_paths
-    return _emit(outdir, "sde", manifest, report)
+    return report, {"dt": dt, "paths": n_paths}
 
 
-def _cmd_stability(cfg, outdir, seed, tol_scale):
+def _cmd_stability(c, outdir, seed, tol_scale):
     from . import measures as ms
     from .serialize import _csv_text, atomic_write_text
     from .stability import build_sequence, flow_stability_run, gamma_convergence_check
 
-    desc = _get(cfg, "potential", dict, required=True)
+    base = _potential(c)
     try:
-        base = ms.potential_from_descriptor(desc)
-    except (KeyError, ValueError) as exc:
-        raise ConfigError("potential", str(exc)) from exc
-    kind = _get(cfg, "sequence.kind", str, required=True)
-    ns = tuple(_get(cfg, "sequence.ns", list, default=[4, 16, 64]))
-    grid_n = _get(cfg, "grid.n", int, default=400)
-    try:
-        seq = build_sequence(kind, base, ns, grid_n)
+        seq = build_sequence(c["sequence.kind"], base, **_given(ns=c["sequence.ns"], grid_n=c["grid.n"]))
     except ValueError as exc:
         raise ConfigError("sequence.kind", str(exc)) from exc
 
-    jcfg = _jko_config(cfg)
-    x = _get(cfg, "x", float, required=True)
-    horizon = _positive(cfg, "horizon", required=True)
-    tols = _tolerances(cfg, tol_scale)
-    res = flow_stability_run(
-        seq,
-        [x] * len(seq.members),
-        x,
-        horizon,
-        jcfg,
-        final_gap_tol=tols.get("flow_gap", 0.05),
-    )
+    x = c["x"]
+    gap_tol = _given(final_gap_tol=c["tolerances.flow_gap"])
+    res = flow_stability_run(seq, [x] * len(seq.members), x, c["horizon"], _jko_config(c), **gap_tol)
     # str(n) echoes each n as configured, also when it was given as a float
     rows = [(str(n), float(g)) for n, g in zip(seq.ns, res.gaps)]
     atomic_write_text(outdir / "stability_gaps.csv", _csv_text(["n", "gap"], rows))
     report = res.report
     probe = ms.gaussian_on_grid(seq.limit, 0.25, 0.5)
-    report.extend(gamma_convergence_check(seq, [probe], tol=tols.get("gamma_gap", 0.01)))
-    manifest = _manifest_base(cfg, seed)
-    manifest["ns"] = list(seq.ns)
-    manifest["gaps"] = [float(g) for g in res.gaps]
-    return _emit(outdir, "stability", manifest, report)
+    report.extend(gamma_convergence_check(seq, [probe], **_given(tol=c["tolerances.gamma_gap"])))
+    return report, {"ns": list(seq.ns), "gaps": [float(g) for g in res.gaps]}
 
 
-def _cmd_dirichlet(cfg, outdir, seed, tol_scale):
+def _cmd_dirichlet(c, outdir, seed, tol_scale):
     import numpy as np
 
-    from . import measures as ms
     from .dirichlet import boundary_measure_1d, integration_by_parts_check, slope_variational_check
     from .report import CheckReport
     from .serialize import _csv_text, atomic_write_text
 
-    gamma = _build_reference(cfg)
-    tols = _tolerances(cfg, tol_scale)
+    gamma = _reference(c)
     report = CheckReport()
 
     sigma = boundary_measure_1d(gamma.potential)
     expected_tv = 2.0 * math.exp(-gamma.potential.min_value())
-    report.add(
-        "boundary_tv_identity",
-        abs(sigma.total_variation - expected_tv),
-        0.0,
-        tols.get("tv", 1e-6),
-    )
+    report.add("boundary_tv_identity", abs(sigma.total_variation - expected_tv), 0.0, c["tolerances.tv"])
     rows = zip(sigma.centers.tolist(), sigma.widths.tolist(), sigma.density.tolist())
     atomic_write_text(
         outdir / "boundary_density.csv", _csv_text(["center", "width", "density"], rows)
     )
 
     ibp = integration_by_parts_check(gamma.potential, np.sin, np.cos)
-    report.add("integration_by_parts_gap", ibp.gap, 0.0, tols.get("ibp", 1e-6))
+    report.add("integration_by_parts_gap", ibp.gap, 0.0, c["tolerances.ibp"])
 
     u_vals = np.exp(gamma.grid / 4.0)
     res = slope_variational_check(
         u_vals, gamma, probe_count=50, rng=np.random.default_rng(seed)
     )
     report.extend(res.report)
-    manifest = _manifest_base(cfg, seed)
-    manifest["total_variation"] = sigma.total_variation
-    return _emit(outdir, "dirichlet", manifest, report)
+    return report, {"total_variation": sigma.total_variation}
 
 
-def _cmd_check_all(cfg, outdir, seed, tol_scale):
+def _cmd_check_all(c, outdir, seed, tol_scale):
     import numpy as np
 
     from . import measures as ms
@@ -394,9 +424,7 @@ def _cmd_check_all(cfg, outdir, seed, tol_scale):
 
     res = slope_variational_check(np.exp(gamma.grid / 4.0), gamma, probe_count=25, rng=rng)
     report.extend(res.report)
-
-    manifest = _manifest_base(cfg, seed)
-    return _emit(outdir, "check_all", manifest, report)
+    return report, {}
 
 
 _COMMANDS = {
@@ -411,7 +439,16 @@ _COMMANDS = {
 }
 
 
+def _write_manifest(outdir: Path, name: str, manifest: dict) -> None:
+    from .serialize import write_manifest
+
+    manifest["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    write_manifest(outdir / f"{name}_manifest.json", manifest)
+
+
 def run(command: str, config_path: str | None, out: str | None, seed: int | None, tol_scale: float) -> int:
+    from . import __version__
+
     cfg = {}
     if config_path is not None:
         from .serialize import load_config
@@ -424,15 +461,32 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
         if not isinstance(cfg, dict):
             print("config field '<root>': expected an object", file=sys.stderr)
             return 2
-    if seed is None:
-        seed = _get(cfg, "oracle.seed", int, default=0)
-    outdir = Path(out if out is not None else cfg.get("output_dir", "entroflow_out"))
-    outdir.mkdir(parents=True, exist_ok=True)
+    name = command.replace("-", "_")
     try:
-        return _COMMANDS[command](cfg, outdir, seed, tol_scale)
+        c = _check(cfg, _SCHEMAS[command], tol_scale=tol_scale)  # before any work starts
+        seed = c["oracle.seed"] if seed is None else seed
+        outdir = Path(out if out is not None else c["output_dir"])
+        outdir.mkdir(parents=True, exist_ok=True)
+        manifest = {"config": cfg, "version": __version__, "seed": seed}
+        report, entries = _COMMANDS[command](c, outdir, seed, tol_scale)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    except (RuntimeError, ValueError) as exc:
+        # a solver or oracle failed: JkoSolverError is a RuntimeError, rejected inputs ValueErrors
+        failure = {"type": type(exc).__name__, "message": str(exc)}
+        if hasattr(exc, "residual"):
+            failure["residual"] = float(exc.residual)
+        _write_manifest(outdir, name, {**manifest, "failure": failure})
+        print(f"{name} failed: {failure['type']}: {failure['message']}", file=sys.stderr)
+        return 3
+    _write_manifest(outdir, name, {**manifest, **entries, "checks": report.to_dict()})
+    if not report.passed:
+        failed = ", ".join(item.check_id for item in report.failures())
+        print(f"FAILED checks: {failed}", file=sys.stderr)
+        return 1
+    print(f"ok: {name} -> {outdir}")
+    return 0
 
 
 def main(argv=None) -> int:
@@ -449,11 +503,10 @@ def main(argv=None) -> int:
     parser.add_argument("config", nargs="?", help="JSON config file")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--tol-scale", type=float, default=1.0, help="scale check tolerances")
+    parser.add_argument("--tol-scale", type=float, default=1.0, help="scale configured check tolerances")
     args = parser.parse_args(argv)
 
-    needs_config = args.command not in ("check-all",)
-    if needs_config and args.config is None:
+    if args.command != "check-all" and args.config is None:
         print("config field '<root>': missing (config file required)", file=sys.stderr)
         return 2
     return run(args.command, args.config, args.out, args.seed, args.tol_scale)

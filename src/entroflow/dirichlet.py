@@ -106,10 +106,7 @@ def slope_variational_check(
     u,
     gamma: ReferenceMeasure,
     probe_count: int = 200,
-    eps: float = 1e-2,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-8,
-    sharpness_floor: float = 0.9,
 ) -> SlopeCheckResult:
     """Both sides of the variational characterization of sqrt(E(u)).
 
@@ -117,8 +114,9 @@ def slope_variational_check(
     and bounded. The inequality side draws random finite-entropy probes;
     the sharpness side pushes u^2 gamma forward along eps times -grad ln u
     and evaluates the entropy decrease by the change-of-variables formula,
-    certifying the achieved slope ratio against sqrt(E(u)).
+    certifying the achieved slope ratio against 0.9 sqrt(E(u)).
     """
+    eps = 1e-2
     rng = rng if rng is not None else np.random.default_rng(0)
     vals = _grid_values(u, gamma)
     sup = gamma.support_indices()
@@ -143,7 +141,7 @@ def slope_variational_check(
         rhs = h_target - 2.0 * root_e * w2(probe, target)
         margin = rhs - lhs
         worst = max(worst, margin)
-        if margin > tol:
+        if margin > 1e-8:
             violations += 1
     report.add("slope_inequality_violations", float(violations), 0.0, 0.0, f"worst margin {worst:.3e}")
 
@@ -168,7 +166,7 @@ def slope_variational_check(
     ratio = (h_target - h_pushed) / (2.0 * w2_bound) if w2_bound > 0 else 0.0
     report.add(
         "slope_sharpness",
-        sharpness_floor * root_e,
+        0.9 * root_e,
         ratio,
         0.0,
         f"achieved ratio {ratio:.6f} vs sqrt(E) {root_e:.6f}",
@@ -216,15 +214,15 @@ class SignedMeasure1D:
         return out
 
 
-def _segment_boundaries(potential: ConvexPotential, window: float = 45.0) -> np.ndarray:
-    lo, hi = suggested_bounds(potential, window)
+def _segment_boundaries(potential: ConvexPotential) -> np.ndarray:
+    lo, hi = suggested_bounds(potential, 45.0)
     pts = [lo, hi, potential.argmin()]
     pts.extend(float(k) for k in potential.kinks())
     pts = sorted(p for p in set(pts) if lo <= p <= hi)
     return np.asarray(pts)
 
 
-def boundary_measure_1d(potential: ConvexPotential, n: int = 2000) -> SignedMeasure1D:
+def boundary_measure_1d(potential: ConvexPotential) -> SignedMeasure1D:
     """The distributional derivative -(e^{-U})' of a convex potential.
 
     On monotonicity segments of e^{-U} the exact cell averages are signed
@@ -236,7 +234,7 @@ def boundary_measure_1d(potential: ConvexPotential, n: int = 2000) -> SignedMeas
     potential.check_integrable()
     bounds = _segment_boundaries(potential)
     spans = np.diff(bounds)
-    cells_per = np.maximum((spans / spans.sum() * n).astype(int), 8)
+    cells_per = np.maximum((spans / spans.sum() * 2000).astype(int), 8)
     edges = np.concatenate(
         [np.linspace(bounds[i], bounds[i + 1], cells_per[i] + 1)[: -1] for i in range(len(spans))]
         + [[bounds[-1]]]
@@ -281,7 +279,6 @@ def integration_by_parts_check(
     potential: ConvexPotential,
     u,
     du=None,
-    n: int = 4000,
 ) -> IbpResult:
     """Compare int u' e^{-U} dx with int u dSigma for the boundary measure.
 
@@ -294,7 +291,7 @@ def integration_by_parts_check(
         raise ValueError("u must be callable on coordinates")
     bounds = _segment_boundaries(potential)
     spans = np.diff(bounds)
-    per = np.maximum((spans / spans.sum() * n).astype(int), 16)
+    per = np.maximum((spans / spans.sum() * 4000).astype(int), 16)
 
     if du is None:
         def du_fn(x):
@@ -325,9 +322,6 @@ def integration_by_parts_check(
 def boundary_convergence_check(
     potentials: list[ConvexPotential],
     limit: ConvexPotential,
-    windows: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0),
-    dict_size: int = 16,
-    tol: float = 1e-2,
 ) -> CheckReport:
     """Tightness and convergence of boundary measures along a sequence.
 
@@ -335,6 +329,7 @@ def boundary_convergence_check(
     growing compact windows, convergence of integrals against a bounded
     dictionary, and convergence of the total variations themselves.
     """
+    tol = 1e-2
     from .stability import bounded_lipschitz_dictionary
 
     report = CheckReport()
@@ -344,12 +339,12 @@ def boundary_convergence_check(
     tvs = np.array([s.total_variation for s in sigmas])
     report.add("tv_uniformly_bounded", float(tvs.max()), 10.0 * sigma_lim.total_variation + 10.0, 0.0)
 
-    outside = np.array([max(s.tv_outside(r) for s in sigmas) for r in windows])
+    outside = np.array([max(s.tv_outside(r) for s in sigmas) for r in (1.0, 2.0, 4.0, 8.0)])
     worst_increase = float(np.max(np.diff(outside))) if len(outside) > 1 else 0.0
     report.add("tail_mass_decreasing", worst_increase, 0.0, 1e-12)
     report.add("tail_mass_vanishes", float(outside[-1]), 0.0, tol)
 
-    dictionary = bounded_lipschitz_dictionary(dict_size)
+    dictionary = bounded_lipschitz_dictionary(16)
     worst = 0.0
     for f in dictionary:
         worst = max(worst, abs(sigmas[-1].integrate(f) - sigma_lim.integrate(f)))

@@ -122,6 +122,8 @@ class ConvexPotential:
     def drift(self, x) -> np.ndarray:
         """Subgradient selection used as SDE drift: 0 at kinks."""
         x = np.asarray(x, dtype=float)
+        if self.is_smooth():
+            return self.derivative(x)  # one-sided derivatives agree inside the domain
         dr = self.derivative(x, "right")
         dl = self.derivative(x, "left")
         g = 0.5 * (dr + dl)
@@ -450,13 +452,21 @@ class TabulatedPotential(ConvexPotential):
             raise ValueError("tabulated potential needs >= 3 aligned samples")
         if not np.all(np.diff(xs) > 0):
             raise ValueError("tabulated grid must be strictly increasing")
-        slopes = np.diff(vals) / np.diff(xs)
-        if np.any(np.diff(slopes) < -1e-10 * max(1.0, np.abs(slopes).max())):
-            raise ValueError("tabulated values are not convex")
         xs, vals = xs.copy(), vals.copy()
         xs.setflags(write=False)
         vals.setflags(write=False)
         return cls(xs=xs, vals=vals)
+
+    def __post_init__(self):
+        # slopes and cumulative integrals depend on the table only: built once per instance
+        slopes = np.diff(self.vals) / np.diff(self.xs)
+        if np.any(np.diff(slopes) < -1e-10 * max(1.0, np.abs(slopes).max())):
+            raise ValueError("tabulated values are not convex")
+        pieces = 0.5 * (self.vals[1:] + self.vals[:-1]) * np.diff(self.xs)
+        cum = np.concatenate([[0.0], np.cumsum(pieces)])
+        for arr in (slopes, cum):
+            arr.setflags(write=False)
+        object.__setattr__(self, "_table", (slopes, cum))
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -465,7 +475,7 @@ class TabulatedPotential(ConvexPotential):
 
     def derivative(self, x, side="right"):
         x = np.asarray(x, dtype=float)
-        slopes = np.diff(self.vals) / np.diff(self.xs)
+        slopes = self._table[0]
         idx = np.searchsorted(self.xs, x, side="right" if side == "right" else "left") - 1
         idx = np.clip(idx, 0, len(slopes) - 1)
         d = slopes[idx]
@@ -475,7 +485,7 @@ class TabulatedPotential(ConvexPotential):
         return (float(self.xs[0]), float(self.xs[-1]))
 
     def kinks(self):
-        slopes = np.diff(self.vals) / np.diff(self.xs)
+        slopes = self._table[0]
         jump = np.abs(np.diff(slopes)) > 1e-12 * max(1.0, np.abs(slopes).max())
         return self.xs[1:-1][jump]
 
@@ -484,9 +494,7 @@ class TabulatedPotential(ConvexPotential):
 
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)
-        slopes = np.diff(self.vals) / np.diff(self.xs)
-        pieces = 0.5 * (self.vals[1:] + self.vals[:-1]) * np.diff(self.xs)
-        cum = np.concatenate([[0.0], np.cumsum(pieces)])
+        slopes, cum = self._table
         xc = np.clip(x, self.xs[0], self.xs[-1])
         i = np.clip(np.searchsorted(self.xs, xc, side="right") - 1, 0, len(slopes) - 1)
         t = xc - self.xs[i]
@@ -587,11 +595,10 @@ class ReferenceMeasure:
     def second_moment(self) -> float:
         return float(np.dot(self.weights, self.grid**2))
 
-    def locate(self, points, tol: float | None = None) -> np.ndarray:
+    def locate(self, points) -> np.ndarray:
         """Map coordinates to grid indices; -1 where no cell center matches."""
         x = np.ravel(np.asarray(points, dtype=float))
-        if tol is None:
-            tol = 1e-9 * max(1.0, abs(self.bounds[0]), abs(self.bounds[1]))
+        tol = 1e-9 * max(1.0, abs(self.bounds[0]), abs(self.bounds[1]))
         idx = np.rint((x - self.grid[0]) / self.cell_width).astype(int)
         ok = (idx >= 0) & (idx < self.n)
         safe = np.clip(idx, 0, self.n - 1)
@@ -707,10 +714,9 @@ class DiscreteMeasure:
 
     support: np.ndarray  # (n, k)
     weights: np.ndarray  # (n,)
-    norm: NormSpec | None = None
 
     @classmethod
-    def from_atoms(cls, points, weights, norm: NormSpec | None = None) -> "DiscreteMeasure":
+    def from_atoms(cls, points, weights) -> "DiscreteMeasure":
         pts = np.asarray(points, dtype=float)
         if pts.ndim == 1:
             pts = pts[:, None]
@@ -746,7 +752,7 @@ class DiscreteMeasure:
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
         w.setflags(write=False)
-        return cls(support=pts, weights=w, norm=norm)
+        return cls(support=pts, weights=w)
 
     @property
     def n(self) -> int:
@@ -849,7 +855,6 @@ def entropy_duality_bound(mu: DiscreteMeasure, gamma: ReferenceMeasure, s) -> fl
 
 def second_moment(mu: DiscreteMeasure, norm: NormSpec | None = None) -> float:
     """Sum of w_i ||x_i||^2, optionally in a NormSpec metric."""
-    norm = norm if norm is not None else mu.norm
     if norm is None:
         return float(np.dot(mu.weights, np.einsum("ij,ij->i", mu.support, mu.support)))
     v = norm.norm(mu.support)
@@ -891,7 +896,7 @@ def entropy_set_bound_check(
     return SetBoundResult(lhs=lhs, rhs=rhs, holds=bool(holds))
 
 
-def discrete_log_concavity_ok(gamma: ReferenceMeasure, rel_tol: float = 1e-12) -> bool:
+def discrete_log_concavity_ok(gamma: ReferenceMeasure) -> bool:
     """Midpoint log-concavity of the grid weights on a contiguous support."""
     idx = gamma.support_indices()
     if len(idx) == 0 or np.any(np.diff(idx) != 1):
@@ -900,7 +905,7 @@ def discrete_log_concavity_ok(gamma: ReferenceMeasure, rel_tol: float = 1e-12) -
     if len(w) < 3:
         return True
     left, mid, right = w[:-2], w[1:-1], w[2:]
-    return bool(np.all(mid**2 >= left * right * (1.0 - rel_tol)))
+    return bool(np.all(mid**2 >= left * right * (1.0 - 1e-12)))
 
 
 # ---------------------------------------------------------------------------

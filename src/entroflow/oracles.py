@@ -118,8 +118,6 @@ def fp_solve(
     dt: float,
     grid: np.ndarray | None = None,
     theta: float = 0.5,
-    rannacher: int = 2,
-    store_every: int | None = None,
 ) -> FpSolution:
     """Theta-scheme solve of d/dt u = (u' + V' u)' on a uniform grid.
 
@@ -152,8 +150,7 @@ def fp_solve(
     if not np.allclose(steps_h, h, rtol=1e-8):
         raise ValueError("fp_solve needs a uniform grid")
     n_steps = int(math.ceil(T / dt - 1e-9))
-    if store_every is None:
-        store_every = max(1, n_steps // 512)
+    store_every = max(1, n_steps // 512)
 
     lower, diag, upper = _fp_generator(potential, grid, h)
     if theta < 0.5:
@@ -171,7 +168,7 @@ def fp_solve(
     dens = [p.copy()]
     min_density = 0.0
     for k in range(n_steps):
-        p = (damped if k < rannacher else stepper)(p)
+        p = (damped if k < 2 else stepper)(p)
         min_density = min(min_density, float(p.min()))
         if p.min() < -1e-10:
             p = np.maximum(p, 0.0)
@@ -204,22 +201,19 @@ class OuMoments:
         return math.sqrt(max(self.variance, 0.0))
 
 
-def ou_transition_exact(x: float, t: float, stiffness: float = 1.0) -> OuMoments:
-    """Transition law of dX = -a X dt + sqrt(2) dW from a point.
+def ou_transition_exact(x: float, t: float) -> OuMoments:
+    """Transition law of dX = -X dt + sqrt(2) dW from a point.
 
-    mean = x e^{-a t}, variance = (1 - e^{-2 a t}) / a; the invariant law is
-    N(0, 1/a).
+    mean = x e^{-t}, variance = 1 - e^{-2t}; the invariant law is N(0, 1).
     """
     if t < 0:
         raise ValueError("time must be nonnegative")
-    a = stiffness
-    return OuMoments(mean=x * math.exp(-a * t), variance=(1.0 - math.exp(-2.0 * a * t)) / a)
+    return OuMoments(mean=x * math.exp(-t), variance=1.0 - math.exp(-2.0 * t))
 
 
-def gaussian_kl(mean: float, var: float, mean_ref: float = 0.0, var_ref: float = 1.0) -> float:
-    """Relative entropy of N(mean, var) against N(mean_ref, var_ref)."""
-    r = var / var_ref
-    return 0.5 * (r + (mean - mean_ref) ** 2 / var_ref - 1.0 - math.log(r))
+def gaussian_kl(mean: float, var: float) -> float:
+    """Relative entropy of N(mean, var) against N(0, 1)."""
+    return 0.5 * (var + mean**2 - 1.0 - math.log(var))
 
 
 def neumann_tail_bound(t: float, terms: int) -> float:
@@ -229,18 +223,18 @@ def neumann_tail_bound(t: float, terms: int) -> float:
     return 2.0 * head / max(1.0 - math.exp(-lam * (2 * terms + 3)), 1e-300)
 
 
-def neumann_uniform_kernel(x, y, t: float, terms: int | None = None, tol: float = 1e-12):
+def neumann_uniform_kernel(x, y, t: float, terms: int | None = None):
     """Transition density of reflected Brownian motion (gen. d^2/dx^2) on [0,1].
 
-    p_t(x, y) = 1 + 2 sum_k e^{-k^2 pi^2 t} cos(k pi x) cos(k pi y). The
-    series is truncated once the tail bound drops below ``tol``; the number
-    of retained terms grows like 1/sqrt(t).
+    p_t(x, y) = 1 + 2 sum_k e^{-k^2 pi^2 t} cos(k pi x) cos(k pi y). Unless
+    ``terms`` is given, the series is truncated once the tail bound drops
+    below 1e-12; the number of retained terms grows like 1/sqrt(t).
     """
     if t <= 0:
         raise ValueError("time must be positive")
     if terms is None:
         terms = 1
-        while neumann_tail_bound(t, terms) > tol and terms < 100000:
+        while neumann_tail_bound(t, terms) > 1e-12 and terms < 100000:
             terms += max(1, terms // 4)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -251,9 +245,9 @@ def neumann_uniform_kernel(x, y, t: float, terms: int | None = None, tol: float 
     return 1.0 + 2.0 * np.tensordot(cx * decay, cy, axes=([-1], [-1]))
 
 
-def neumann_density_on_grid(grid: np.ndarray, x: float, t: float, tol: float = 1e-12) -> np.ndarray:
+def neumann_density_on_grid(grid: np.ndarray, x: float, t: float) -> np.ndarray:
     """Normalized cell weights of the reflected kernel row started at x."""
-    vals = np.asarray(neumann_uniform_kernel(float(x), grid, t, tol=tol), dtype=float).ravel()
+    vals = np.asarray(neumann_uniform_kernel(float(x), grid, t), dtype=float).ravel()
     vals = np.maximum(vals, 0.0)
     return vals / vals.sum()
 
@@ -261,6 +255,8 @@ def neumann_density_on_grid(grid: np.ndarray, x: float, t: float, tol: float = 1
 # ---------------------------------------------------------------------------
 # Path simulation
 # ---------------------------------------------------------------------------
+PATH_BLOCK = 50_000  # paths per Philox stream (block); samples depend on it
+
 @dataclass
 class SdeSample:
     terminal_points: np.ndarray
@@ -287,7 +283,6 @@ def sde_simulate(
     dt: float,
     n_paths: int,
     seed: int,
-    block: int = 50_000,
 ) -> SdeSample:
     """Euler-Maruyama for dX = -V'(X) dt + sqrt(2) dW from a point.
 
@@ -315,7 +310,7 @@ def sde_simulate(
     done = 0
     b = 0
     while done < n_paths:
-        m = min(block, n_paths - done)
+        m = min(PATH_BLOCK, n_paths - done)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
         xs = np.full(m, float(x))
         for _ in range(n_steps):
@@ -377,14 +372,9 @@ class ReversibilityResult:
     asymmetry: float
 
 
-def reversibility_check(
-    gamma: ReferenceMeasure,
-    t: float,
-    cfg: JkoConfig | None = None,
-    method: str = "fp",
-) -> ReversibilityResult:
-    """Relative detailed-balance defect max |D P - P' D| / max |D P|."""
-    p = semigroup_matrix(gamma, t, cfg, method)
+def reversibility_check(gamma: ReferenceMeasure, t: float) -> ReversibilityResult:
+    """Relative detailed-balance defect max |D P - P' D| / max |D P| of the fp semigroup."""
+    p = semigroup_matrix(gamma, t)
     d = gamma.weights[:, None] * p
     num = float(np.abs(d - d.T).max())
     den = float(np.abs(d).max())
@@ -405,14 +395,12 @@ def lip_contraction_check(
     gamma: ReferenceMeasure,
     t: float,
     f_values: np.ndarray,
-    cfg: JkoConfig | None = None,
-    method: str = "fp",
 ) -> LipContractionResult:
-    """Discrete Lipschitz constants of f and of the semigroup image of f."""
+    """Discrete Lipschitz constants of f and of its image under the fp semigroup."""
     f = np.asarray(f_values, dtype=float)
     if len(f) != gamma.n:
         raise ValueError("grid function must match gamma's grid")
-    p = semigroup_matrix(gamma, t, cfg, method)
+    p = semigroup_matrix(gamma, t)
     pf = p @ f
     h = gamma.cell_width
     sup = gamma.support_indices()

@@ -44,7 +44,7 @@ class CheckItem:
 class CheckReport:
     """Collection of check items with an aggregate verdict."""
 
-    items: list[CheckItem] = field(default_factory=list)
+    items: list[CheckItem] = field(default_factory=list, init=False)
 
     def add(
         self,

@@ -38,6 +38,8 @@ __all__ = [
 
 MARGINAL_TOL = 1e-9
 LP_SIZE_GUARD = 10_000_000
+SINKHORN_MAX_ITERS = 3000  # per regularization level
+SINKHORN_TOL = 1e-7  # marginal violation that ends a level
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +123,15 @@ def _quantile_segments(wa: np.ndarray, wb: np.ndarray):
     return ia[keep], ib[keep], mass[keep]
 
 
-def _monotone_plan(xa, wa, xb, wb, cost_scale: float = 1.0):
+def _monotone_plan(xa, wa, xb, wb):
     """Monotone (north-west) coupling of sorted 1-D atoms with its cost."""
     ia, ib, mass = _quantile_segments(wa, wb)
     d = xa[ia] - xb[ib]
-    cost = float(cost_scale * np.dot(mass, d * d))
+    cost = float(np.dot(mass, d * d))
     return ia, ib, mass, cost
 
-def _chain_duals(xa, xb, ia, ib, cost_scale: float):
+
+def _chain_duals(xa, xb, ia, ib):
     """Kantorovich potentials along the monotone plan's staircase.
 
     Consecutive plan segments share an atom on one side; where both sides
@@ -137,10 +140,6 @@ def _chain_duals(xa, xb, ia, ib, cost_scale: float):
     the north-west corner basis. Returns (beta on a-side, alpha on b-side);
     entries stay NaN for atoms that never enter the plan.
     """
-
-    def cost_at(i, j):
-        d = xa[i] - xb[j]
-        return cost_scale * d * d
 
     k = len(ia)
     da = np.diff(ia) > 0
@@ -156,7 +155,8 @@ def _chain_duals(xa, xb, ia, ib, cost_scale: float):
     virt = first_of_pair & (np.concatenate([[False], both])[pos])
     ia_c[virt] = ia[pos[virt] - 1]  # virtual pair: previous a, new b
 
-    c = cost_at(ia_c, ib_c)
+    d = xa[ia_c] - xb[ib_c]
+    c = d * d
     dc = np.diff(c)
     new_b = np.concatenate([[True], np.diff(ib_c) > 0])
     # invariant: beta(current a) + alpha(current b) = c along the chain;
@@ -172,7 +172,7 @@ def _chain_duals(xa, xb, ia, ib, cost_scale: float):
     return beta, alpha
 
 
-def _fill_missing_alpha(xa, beta, xb, alpha, cost_scale: float):
+def _fill_missing_alpha(xa, beta, xb, alpha):
     """c-transform alpha_j = min_i (c_ij - beta_i) for unset target atoms."""
     missing = np.flatnonzero(np.isnan(alpha))
     if len(missing) == 0:
@@ -181,21 +181,21 @@ def _fill_missing_alpha(xa, beta, xb, alpha, cost_scale: float):
     xa_k, beta_k = xa[known], beta[known]
     for j in missing:
         d = xa_k - xb[j]
-        alpha[j] = np.min(cost_scale * d * d - beta_k)
+        alpha[j] = np.min(d * d - beta_k)
     return alpha
 
 
-def monotone_coupling_with_duals(xa, wa, xb, wb, cost_scale: float = 1.0):
+def monotone_coupling_with_duals(xa, wa, xb, wb):
     """Monotone plan plus optimal potentials (beta on a, alpha on b).
 
     The potentials satisfy alpha_j + beta_i <= c_ij with equality on the
     plan's support, so alpha is a subgradient of nu -> W2^2(nu, mu) at the
     b-side weights.
     """
-    ia, ib, mass, cost = _monotone_plan(xa, wa, xb, wb, cost_scale)
-    beta, alpha = _chain_duals(xa, xb, ia, ib, cost_scale)
+    ia, ib, mass, cost = _monotone_plan(xa, wa, xb, wb)
+    beta, alpha = _chain_duals(xa, xb, ia, ib)
     beta = np.where(np.isnan(beta), 0.0, beta)  # zero-mass source atoms
-    alpha = _fill_missing_alpha(xa, beta, xb, alpha, cost_scale)
+    alpha = _fill_missing_alpha(xa, beta, xb, alpha)
     return ia, ib, mass, cost, beta, alpha
 
 
@@ -276,20 +276,20 @@ def w2_lp(
 # ---------------------------------------------------------------------------
 # Sinkhorn scaling
 # ---------------------------------------------------------------------------
-def _sinkhorn_potentials(log_a, log_b, cost, eps, f, g, max_iters, tol):
+def _sinkhorn_potentials(log_a, log_b, cost, eps, f, g):
     it = 0
-    while it < max_iters:
+    while it < SINKHORN_MAX_ITERS:
         f = -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
         g = -eps * logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
         it += 1
-        if it % 5 == 0 or it == max_iters:
+        if it % 5 == 0 or it == SINKHORN_MAX_ITERS:
             log_p = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
             p = np.exp(log_p)
             viol = max(
                 np.abs(p.sum(axis=1) - np.exp(log_a)).max(),
                 np.abs(p.sum(axis=0) - np.exp(log_b)).max(),
             )
-            if viol < tol:
+            if viol < SINKHORN_TOL:
                 return f, g, p, viol, it, True
     return f, g, p, viol, it, False
 
@@ -317,9 +317,6 @@ def w2_sinkhorn(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     epsilon: float,
-    norm: NormSpec | None = None,
-    max_iters: int = 3000,
-    tol: float = 1e-7,
     debias: bool = False,
 ) -> SinkhornResult:
     """Entropically regularized transport with log-domain scaling.
@@ -334,7 +331,7 @@ def w2_sinkhorn(
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    cost = _cost_matrix(mu.support, nu.support, norm)
+    cost = _cost_matrix(mu.support, nu.support, None)
 
     def solve(c, wa, wb):
         log_a, log_b = np.log(wa), np.log(wb)
@@ -346,9 +343,7 @@ def w2_sinkhorn(
         g = np.zeros(len(wb))
         total_it = 0
         for eps in reversed(ladder):
-            f, g, p, _, it, ok = _sinkhorn_potentials(
-                log_a, log_b, c, eps, f, g, max_iters, tol
-            )
+            f, g, p, _, it, ok = _sinkhorn_potentials(log_a, log_b, c, eps, f, g)
             total_it += it
         p = _round_to_marginals(p, wa, wb)
         viol = max(
@@ -360,8 +355,8 @@ def w2_sinkhorn(
     plan_cost = float(np.sum(plan * cost))
     estimate_sq = plan_cost
     if debias:
-        c_aa = _cost_matrix(mu.support, mu.support, norm)
-        c_bb = _cost_matrix(nu.support, nu.support, norm)
+        c_aa = _cost_matrix(mu.support, mu.support, None)
+        c_bb = _cost_matrix(nu.support, nu.support, None)
         p_aa, _, _, _ = solve(c_aa, mu.weights, mu.weights)
         p_bb, _, _, _ = solve(c_bb, nu.weights, nu.weights)
         estimate_sq = plan_cost - 0.5 * float(np.sum(p_aa * c_aa)) - 0.5 * float(
@@ -459,12 +454,12 @@ def cyclical_monotonicity_check(
     coupling: Coupling,
     trials: int,
     rng: np.random.Generator | None = None,
-    tol: float = 1e-10,
 ) -> MonotonicityResult:
     """Sample support tuples and permutations; count optimality violations.
 
     Optimal plans satisfy sum_i c(x_i, y_perm(i)) >= sum_i c(x_i, y_i) for
-    every finite support family and permutation.
+    every finite support family and permutation; a permutation counts as a
+    violation when it lowers the cost by more than 1e-10.
     """
     if len(coupling.masses) < 2:
         raise ValueError("coupling needs at least two support pairs")
@@ -483,7 +478,7 @@ def cyclical_monotonicity_check(
         base = float(np.sum((dx - dy) ** 2))
         shuffled = float(np.sum((dx - dy[perm]) ** 2))
         gap = base - shuffled
-        if gap > tol:
+        if gap > 1e-10:
             violations += 1
             worst = max(worst, gap)
     return MonotonicityResult(violations=violations, trials=trials, worst_gap=worst)

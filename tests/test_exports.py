@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +22,17 @@ def test_module_exports_resolve(name):
 
 def test_package_exports_resolve():
     assert [attr for attr in ef.__all__ if not hasattr(ef, attr)] == []
+
+
+def test_package_import_loads_no_numpy():
+    # numpy must load after the CLI sets the BLAS thread variables
+    src = str(Path(ef.__file__).resolve().parents[1])
+    code = "import sys, entroflow, entroflow.cli; print('numpy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -117,6 +117,19 @@ class TestPotentialCatalog:
             clone = ef.potential_from_descriptor(pot.descriptor())
             assert np.allclose(clone.value(xs), pot.value(xs), equal_nan=True)
 
+    def test_smooth_drift_is_derivative(self):
+        pots = [
+            ef.quadratic(1.3, 0.4),
+            ef.quartic(0.8, 0.5),
+            ef.box(-1.0, 2.0),
+            ef.box(-1.0, 2.0, ef.quadratic(2.0, 0.5)),
+        ]
+        # box walls and points outside the box included
+        xs = np.concatenate([np.linspace(-3.0, 4.0, 141), [-1.0, 0.0, 0.4, 0.5, 2.0]])
+        for pot in pots:
+            assert pot.is_smooth()
+            assert np.array_equal(pot.drift(xs), pot.derivative(xs), equal_nan=True), pot.descriptor()
+
 
 class TestEntropy:
     def test_reference_entropy_zero(self, gaussian_ref):

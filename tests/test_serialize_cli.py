@@ -247,3 +247,109 @@ class TestCli:
         assert rows == [
             list(r) for r in zip(sigma.centers.tolist(), sigma.widths.tolist(), sigma.density.tolist())
         ]
+
+
+PROBE_BASE = {
+    "potential": {"kind": "quadratic", "a": 1.0},
+    "grid": {"n": 60, "bounds": [-8, 8]},
+    "jko": {"tau": 0.05},
+    "horizon": 0.1,
+    "x": 0.5,
+    "oracle": {"dt": 0.01, "paths": 50},
+    "sequence": {"kind": "variance_perturbed", "ns": [4, 16]},
+}
+
+CONFIG_PROBES = [
+    ("flow", {"initial": {"kind": "gaussian", "std": 1.0}}, "initial.mean"),
+    ("flow", {"times": ["x"]}, "times"),
+    ("flow", {"potential": {"kind": "quadratic", "a": "1"}}, "potential.a"),
+    ("flow", {"tolerances": {"entropy_decrease": True}}, "tolerances.entropy_decrease"),
+    ("flow", {"grid": {"n": True}}, "grid.n"),
+    ("flow", {"grid": {"n": 60, "bounds": ["a", 8]}}, "grid.bounds"),
+    ("flow", {"potential": {"kind": "box", "lo": 0.0}}, "potential.hi"),
+    (
+        "flow",
+        {"potential": {"kind": "box", "lo": 0.0, "hi": 1.0, "inner": {"kind": "quadratic", "a": "2"}}},
+        "potential.inner.a",
+    ),
+    ("flow", {"oracle": {"seed": "x"}}, "oracle.seed"),
+    ("sde", {"oracle": {"dt": 0.01, "paths": 0}}, "oracle.paths"),
+    ("sde", {"oracle": {"dt": 0.01, "paths": -5}}, "oracle.paths"),
+    ("stability", {"sequence": {"kind": "variance_perturbed", "ns": ["a"]}}, "sequence.ns"),
+]
+
+
+def _write_config(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+class TestCliContract:
+    @pytest.mark.parametrize(
+        "command,override,field", CONFIG_PROBES, ids=[f"{c}-{f}" for c, _, f in CONFIG_PROBES]
+    )
+    def test_config_error_names_field(self, tmp_path, capsys, command, override, field):
+        path = _write_config(tmp_path, {**PROBE_BASE, **override})
+        assert cli_main([command, path, "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config field '{field}': ")
+        assert not (tmp_path / "o").exists()  # rejected before any work started
+
+    def test_solver_failure_exit_3(self, tmp_path, capsys):
+        path = _write_config(tmp_path, {**PROBE_BASE, "jko": {"tau": 0.01, "max_inner_iters": 1}})
+        assert cli_main(["step", path, "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        manifest = json.loads((tmp_path / "o" / "step_manifest.json").read_text())
+        failure = manifest["failure"]
+        assert failure["type"] == "JkoSolverError" and failure["residual"] > 0.0
+        assert lines == [f"step failed: JkoSolverError: {failure['message']}"]
+        assert "checks" not in manifest
+
+    def test_oracle_failure_exit_3(self, tmp_path, capsys):
+        cfg = {**PROBE_BASE, "potential": {"kind": "abs", "a": 1}, "grid": {"n": 60}}
+        assert cli_main(["fp", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        manifest = json.loads((tmp_path / "o" / "fp_manifest.json").read_text())
+        assert manifest["failure"] == {
+            "type": "ValueError",
+            "message": "Fokker-Planck oracle needs a potential without kinks",
+        }
+        assert lines == ["fp failed: ValueError: Fokker-Planck oracle needs a potential without kinks"]
+
+    def test_affine_envelope_stability_passes(self, tmp_path):
+        # every member flow and the limit flow start from the same uniform law
+        cfg = {
+            "potential": {"kind": "quadratic", "a": 1.0, "m": 0.0},
+            "sequence": {"kind": "affine_envelope", "ns": [4, 16, 64]},
+            "grid": {"n": 400},
+            "jko": {"tau": 0.01},
+            "x": 1.0,
+            "horizon": 0.25,
+            "tolerances": {"flow_gap": 0.05},
+        }
+        out = tmp_path / "o"
+        assert cli_main(["stability", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        gaps = json.loads((out / "stability_manifest.json").read_text())["gaps"]
+        assert gaps == sorted(gaps, reverse=True)
+
+    def test_readme_field_table_matches_schema(self):
+        from entroflow.cli import _SCHEMAS
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("| field | kind | default | subcommands |\n|---|---|---|---|\n")[1]
+        documented = set()
+        for line in table.split("\n\n")[0].splitlines():
+            field, kind, default, commands = [cell.strip() for cell in line.strip("|").split("|")]
+            field = field.strip("`")
+            for command in _SCHEMAS if commands == "all" else commands.split(", "):
+                spec = _SCHEMAS[command][field]
+                assert kind == spec.kind, (command, field)
+                if spec.required:
+                    assert default == "required", (command, field)
+                elif spec.default is not None:
+                    assert default == f"`{json.dumps(spec.default)}`", (command, field)
+                else:
+                    assert default != "required" and not default.startswith("`{"), (command, field)
+                documented.add((command, field))
+        assert documented == {(c, f) for c, fields in _SCHEMAS.items() for f in fields}
