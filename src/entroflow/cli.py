@@ -50,6 +50,7 @@ _KINDS = {  # kind -> (test, what a failing value was expected to be)
     "number": (_number, "a number"),
     "positive": (_positive, "a positive number"),
     "count": (lambda v: type(v) is int and v > 0, "a positive integer"),
+    "cells": (lambda v: type(v) is int and v >= 2, "an integer of at least 2"),
     "seed": (lambda v: type(v) is int and v >= 0, "a nonnegative integer"),
     "string": (lambda v: type(v) is str, "a string"),
     "numbers": (lambda v: _list(v, _number), "a list of numbers"),
@@ -79,7 +80,7 @@ _FIELDS = {  # every config field, with its one kind and default
     "output_dir": Field("string", default="entroflow_out"),
     "oracle.seed": Field("seed", default=0),
     "potential": Field("potential", True),
-    "grid.n": Field("count", True),
+    "grid.n": Field("cells", True),
     "grid.bounds": Field("interval"),
     "initial": Field("initial", default={"kind": "reference"}),
     "jko.tau": Field("positive", True),
@@ -114,7 +115,7 @@ _SCHEMAS = {  # the fields each subcommand reads; run() reads output_dir and ora
         "check-all": "",
     }.items()
 }
-_SCHEMAS["stability"]["grid.n"] = Field("count")  # build_sequence has the default
+_SCHEMAS["stability"]["grid.n"] = Field("cells")  # build_sequence has the default
 
 
 def _lookup(node: dict, path: str):
@@ -464,7 +465,10 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
     name = command.replace("-", "_")
     try:
         c = _check(cfg, _SCHEMAS[command], tol_scale=tol_scale)  # before any work starts
-        seed = c["oracle.seed"] if seed is None else seed
+        if seed is None:
+            seed = c["oracle.seed"]
+        elif not _KINDS["seed"][0](seed):
+            raise ConfigError("--seed", f"expected {_KINDS['seed'][1]}")
         outdir = Path(out if out is not None else c["output_dir"])
         outdir.mkdir(parents=True, exist_ok=True)
         manifest = {"config": cfg, "version": __version__, "seed": seed}

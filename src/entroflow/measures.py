@@ -156,18 +156,22 @@ class ConvexPotential:
         """Exact antiderivative of V on the effective domain."""
         raise NotImplementedError
 
-    def integral_pairs(self, a, b) -> np.ndarray:
-        """Exact integrals of V over the intervals [a_i, b_i].
+    def cell_integrals(self, edges) -> np.ndarray:
+        """Exact integrals of V over the consecutive cells of sorted edges.
 
-        Intervals leaving the effective domain integrate to +inf.
+        ``edges`` has shape (..., k+1); cell i is [edges[i], edges[i+1]], and
+        the antiderivative is evaluated once per edge. Cells leaving the
+        effective domain integrate to +inf.
         """
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        out = self.antiderivative(b) - self.antiderivative(a)
+        edges = np.asarray(edges, dtype=float)
+        prim = self.antiderivative(edges)
+        out = prim[..., 1:] - prim[..., :-1]
         lo, hi = self.finite_interval()
+        if not (math.isfinite(lo) or math.isfinite(hi)):
+            return out
         slack = 1e-9 * max(1.0, abs(lo) if math.isfinite(lo) else 0.0,
                            abs(hi) if math.isfinite(hi) else 0.0)
-        bad = (a < lo - slack) | (b > hi + slack)
+        bad = (edges[..., :-1] < lo - slack) | (edges[..., 1:] > hi + slack)
         return np.where(bad, np.inf, out)
 
     def check_integrable(self) -> None:
@@ -200,8 +204,8 @@ class QuadraticPotential(ConvexPotential):
     kind: str = field(default="quadratic", init=False)
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * self.a * (x - self.m) ** 2
+        d = np.asarray(x, dtype=float) - self.m
+        return 0.5 * self.a * (d * d)
 
     def derivative(self, x, side="right"):
         x = np.asarray(x, dtype=float)
@@ -211,8 +215,8 @@ class QuadraticPotential(ConvexPotential):
         return self.m
 
     def antiderivative(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.a * (x - self.m) ** 3 / 6.0
+        d = np.asarray(x, dtype=float) - self.m
+        return self.a * (d * d * d) / 6.0
 
     def descriptor(self):
         return {"kind": "quadratic", "a": self.a, "m": self.m}
@@ -228,18 +232,21 @@ class QuarticPotential(ConvexPotential):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return 0.25 * self.a * x**4 + 0.5 * self.b * x**2
+        x2 = x * x
+        return 0.25 * self.a * (x2 * x2) + 0.5 * self.b * x2
 
     def derivative(self, x, side="right"):
         x = np.asarray(x, dtype=float)
-        return self.a * x**3 + self.b * x
+        return self.a * (x * x * x) + self.b * x
 
     def argmin(self):
         return 0.0
 
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)
-        return self.a * x**5 / 20.0 + self.b * x**3 / 6.0
+        x2 = x * x
+        x3 = x2 * x
+        return self.a * (x3 * x2) / 20.0 + self.b * x3 / 6.0
 
     def descriptor(self):
         return {"kind": "quartic", "a": self.a, "b": self.b}
@@ -536,15 +543,20 @@ def tabulated(xs, vals) -> TabulatedPotential:
     return TabulatedPotential.from_table(xs, vals)
 
 
+_SCALAR_FACTORIES = {
+    "quadratic": (quadratic, ("a", "m")),
+    "quartic": (quartic, ("a", "b")),
+    "abs": (abs_potential, ("a", "c")),
+}
+
+
 def potential_from_descriptor(desc: dict) -> ConvexPotential:
     """Rebuild a catalog potential from its JSON descriptor."""
     kind = desc.get("kind")
-    if kind == "quadratic":
-        return quadratic(desc["a"], desc.get("m", 0.0))
-    if kind == "quartic":
-        return quartic(desc["a"], desc.get("b", 0.0))
-    if kind == "abs":
-        return abs_potential(desc["a"], desc.get("c", 0.0))
+    if kind in _SCALAR_FACTORIES:
+        # optional parameters a descriptor leaves out keep the factory's default
+        factory, names = _SCALAR_FACTORIES[kind]
+        return factory(**{name: desc[name] for name in names if name in desc})
     if kind == "box":
         inner = desc.get("inner")
         return box(desc["lo"], desc["hi"], potential_from_descriptor(inner) if inner else None)

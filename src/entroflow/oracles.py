@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure
-from .jko import JkoConfig, transition_measure
+from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure, dirac_on_grid
+from .jko import JkoConfig, QuantileLattice, _flow_batch
 
 __all__ = [
     "FpSolution",
@@ -337,7 +337,8 @@ def semigroup_matrix(
 
     Row j holds the law at time t started from cell j. ``method="fp"``
     propagates all rows at once with the conservative finite-difference
-    scheme; ``method="jko"`` runs one proximal flow per row.
+    scheme; ``method="jko"`` runs the proximal flows of all rows as one
+    batch on one quantile lattice.
     """
     n = gamma.n
     if n > 400:
@@ -353,17 +354,17 @@ def semigroup_matrix(
     if method == "jko":
         if cfg is None:
             raise ValueError("jko method needs a JkoConfig")
-        rows = []
-        for j in range(n):
-            if gamma.weights[j] <= 0:
-                row = np.zeros(n)
-                row[j] = 1.0
-            else:
-                mu_t = transition_measure(gamma, float(gamma.grid[j]), t, cfg)
-                row = np.zeros(n)
-                row[gamma.locate(mu_t.x)] = mu_t.weights
-            rows.append(row)
-        return np.asarray(rows)
+        # one batch of Dirac flows on one lattice; cells gamma does not charge stay put
+        rows = np.eye(n)
+        live = np.flatnonzero(gamma.weights > 0)
+        lat = QuantileLattice(gamma)
+        starts = np.stack([lat.from_grid(dirac_on_grid(gamma, float(gamma.grid[j]))) for j in live])
+        final = _flow_batch(lat, starts, cfg, t, labels=[f"start cell {j}" for j in live])[0][-1]
+        for j, e in zip(live, final):
+            mu_t = lat.to_measure(e)
+            rows[j] = 0.0
+            rows[j, gamma.locate(mu_t.x)] = mu_t.weights
+        return rows
     raise ValueError(f"unknown method {method!r}")
 
 

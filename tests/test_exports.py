@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -36,3 +37,28 @@ def test_package_import_loads_no_numpy():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_benchmark_layers_resolve():
+    # the traced benchmark run wraps these entry points by name
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
+    spec = importlib.util.spec_from_file_location("_bench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    unresolved = []
+    for entries in layers.LAYERS.values():
+        for entry in entries:
+            for modname, qual in layers._expand(entry):
+                obj = importlib.import_module(f"entroflow.{modname}")
+                for part in qual.split("."):
+                    obj = getattr(obj, part, None)
+                if not callable(obj):
+                    unresolved.append(entry)
+            if not entry.split(":")[1].startswith("*") and not layers._expand(entry):
+                unresolved.append(entry)
+    assert unresolved == []
+    tracer = layers.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import entroflow as ef
-from entroflow.jko import QuantileLattice, StepInfo, _native_step
+from entroflow.jko import QuantileLattice, StepInfo, _flow_batch, _native_step
 from entroflow.transport import w2_knots_to_gaussian
 from conftest import random_grid_measure
 
@@ -114,17 +114,15 @@ class TestStep:
 
         best = (np.inf, None)
         grid_e = np.linspace(1e-4, 1 - 1e-4, 900)
+        e2, mid = np.meshgrid(np.linspace(0.7, 1.0, 40), grid_e, indexing="ij")
         for e0 in np.linspace(0.0, 0.3, 40):
-            for e2 in np.linspace(0.7, 1.0, 40):
-                mids = grid_e[(grid_e > e0) & (grid_e < e2)]
-                edges = np.stack(
-                    [np.full(len(mids), e0), mids, np.full(len(mids), e2)], axis=0
-                )
-                for j in range(len(mids)):
-                    ee = edges[:, j]
-                    val = lat.entropy(ee) + lat.w2_sq(ee, e_prev) / (2 * tau)
-                    if val < best[0]:
-                        best = (val, ee.copy())
+            # every (e2, mid) pair with e0 < mid < e2, as one stack of edge vectors
+            inside = (mid > e0) & (mid < e2)
+            edges = np.stack([np.full(inside.sum(), e0), mid[inside], e2[inside]], axis=1)
+            vals = lat.entropy(edges) + lat.w2_sq(edges, e_prev) / (2 * tau)
+            j = int(np.argmin(vals))
+            if vals[j] < best[0]:
+                best = (vals[j], edges[j])
         assert value <= best[0] + 1e-6
         assert np.abs(e - best[1]).max() < 5e-3
 
@@ -137,10 +135,12 @@ class TestStep:
         for _ in range(10):
             jitter = rng.uniform(0.2, 2.0) * np.sort(rng.normal(0, 0.02, len(e_prev)))
             start = np.sort(e_prev + jitter)
-            e, *_ = _native_step(lat, e_prev, 0.02, 1.0, 1e-13, 200)
+            e, *_, converged = _native_step(lat, e_prev, 0.02, 1.0, 1e-13, 200, start=start)
+            assert converged
             outs.append(e)
-        base = outs[0]
-        for e in outs[1:]:
+        base, _, _, _, _, _, converged = _native_step(lat, e_prev, 0.02, 1.0, 1e-13, 200)
+        assert converged
+        for e in outs:
             assert lat.w2(base, e) < 1e-6
 
     def test_dirac_start_smooths(self, gaussian_ref, lattice):
@@ -181,6 +181,80 @@ class TestStep:
             ef.jko_step_detailed(gaussian_ref, mu, cfg)
         assert err.value.best_measure.n > 0
         assert err.value.residual > 0
+
+
+BATCH_REFS = {
+    "quadratic": lambda: ef.discretize_reference(ef.quadratic(1.0, 0.2), 60, (-8.0, 8.0)),
+    "box_quadratic": lambda: ef.discretize_reference(
+        ef.box(-1.0, 1.5, ef.quadratic(2.0, 0.3)), 60, (-1.0, 1.5)
+    ),
+    "quartic": lambda: ef.discretize_reference(ef.quartic(1.0, 0.5), 60, (-4.0, 4.0)),
+    "tabulated": lambda: ef.discretize_reference(
+        ef.tabulated(np.linspace(-3, 3, 13), 0.5 * np.linspace(-3, 3, 13) ** 2), 60, (-3.0, 3.0)
+    ),
+}
+
+
+class TestBatch:
+    @pytest.mark.parametrize("name", BATCH_REFS)
+    def test_rows_equal_single_flows(self, name, rng):
+        # the rows of one batch are the flows each start gives alone, bit for bit
+        gamma = BATCH_REFS[name]()
+        lat = QuantileLattice(gamma)
+        cfg = ef.JkoConfig(tau=0.01)
+        sup = gamma.support_indices()
+        starts = [lat.from_grid(random_grid_measure(gamma, rng)) for _ in range(3)]
+        starts += [lat.from_grid(ef.dirac_on_grid(gamma, float(gamma.grid[j]))) for j in sup[[0, len(sup) // 3, -1]]]
+        starts.append(lat.gamma_member())
+        edges, entropies, _, residuals, newton = _flow_batch(lat, np.stack(starts), cfg, 0.05)
+        for i, e0 in enumerate(starts):
+            traj = ef.jko_trajectory(gamma, None, cfg, 0.05, lattice=lat, initial_edges=e0)
+            assert len(edges) == len(traj.edges)
+            assert all(np.array_equal(stack[i], e) for stack, e in zip(edges, traj.edges))
+            assert np.array_equal([h[i] for h in entropies], traj.entropies)
+            assert np.array_equal([r[i] for r in residuals], traj.evi_residuals)
+            assert [StepInfo(*(x[i].item() for x in step)) for step in newton] == traj.step_infos
+            # and one Newton step on the stack is the step of each row alone
+            e, value, _, _, residual, iters, converged = _native_step(lat, e0, cfg.tau, 1.0, 1e-12, 80)
+            assert np.array_equal(e, edges[1][i])
+            assert (value, residual, iters, converged) == (
+                newton[0][0][i], newton[0][3][i], newton[0][4][i], newton[0][5][i]
+            )
+
+    def test_failing_row_raises_with_its_own_iterate(self, gaussian_ref_coarse):
+        # two rows converge within two Newton iterations, the last one does not
+        gamma = gaussian_ref_coarse
+        cfg = ef.JkoConfig(tau=5e-3, max_inner_iters=2)
+        candidates = [
+            gamma.as_measure(),
+            ef.gaussian_on_grid(gamma, 0.5, 1.0),
+            ef.gaussian_on_grid(gamma, 2.0, 0.3),
+        ]
+        with pytest.raises(ef.JkoSolverError) as err:
+            ef.invariance_check(gamma, candidates, 0.05, cfg)
+        lat = QuantileLattice(gamma)
+        e, _, _, _, residual, _, converged = _native_step(
+            lat, lat.from_grid(candidates[2]), cfg.tau, 1.0, cfg.inner_tol, cfg.max_inner_iters
+        )
+        assert not converged
+        assert str(err.value) == f"step 0, candidate 2: inner Newton residual {residual:.3e} above tolerance"
+        assert err.value.residual == residual
+        best = lat.to_measure(e)
+        assert np.array_equal(err.value.best_measure.x, best.x)
+        assert np.array_equal(err.value.best_measure.weights, best.weights)
+
+    def test_kernels_take_stacks(self, gaussian_ref, rng):
+        lat = QuantileLattice(gaussian_ref)
+        stack = np.stack([lat.from_grid(random_grid_measure(gaussian_ref, rng)) for _ in range(4)])
+        ent, w2s = lat.entropy(stack), lat.w2_sq(stack, stack[::-1])
+        assert ent.shape == w2s.shape == (4,)
+        for i in range(4):
+            assert ent[i] == lat.entropy(stack[i])
+            assert w2s[i] == lat.w2_sq(stack[i], stack[3 - i])
+        # a row with a reversed cell has infinite entropy, the others keep theirs
+        bad = stack.copy()
+        bad[1, [5, 6]] = bad[1, [6, 5]]
+        assert np.array_equal(lat.entropy(bad) == np.inf, [False, True, False, False])
 
 
 class TestTrajectory:

@@ -92,7 +92,7 @@ class TestPotentialCatalog:
         ]
         for pot in pots:
             for a, b in [(-1.5, 0.3), (0.1, 2.2), (-2.5, 2.5)]:
-                got = float(pot.integral_pairs([a], [b])[0])
+                got = float(pot.cell_integrals([a, b])[0])
                 pts = sorted({a, b, *pot.kinks().tolist()})
                 ref = sum(
                     integrate.quad(

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 import entroflow as ef
 import entroflow.oracles as orc
-from entroflow.jko import QuantileLattice
+from entroflow.jko import QuantileLattice, _native_step
 from entroflow.transport import histogram_quantile_knots, w2_knots_to_gaussian, w2_quantile_knots
 
 
@@ -160,6 +160,47 @@ class TestSemigroup:
         assert np.abs(p1.sum(axis=1) - 1.0).max() < 1e-9
         err = np.abs(p1 @ p1 - p2).sum(axis=1).max()
         assert err < 0.02
+
+    @pytest.mark.parametrize(
+        "potential,bounds",
+        [
+            (ef.quadratic(1.0, 0.3), (-8.0, 8.0)),
+            # cells outside the box carry no mass and keep their unit row
+            (ef.box(0.0, 1.0, ef.quadratic(2.0, 0.3)), (-0.25, 1.25)),
+        ],
+        ids=["quadratic", "box"],
+    )
+    def test_jko_rows_are_transition_measures(self, potential, bounds):
+        # one batch on one lattice gives each row's own Dirac flow
+        gamma = ef.discretize_reference(potential, 30, bounds)
+        cfg = ef.JkoConfig(tau=0.01)
+        p = orc.semigroup_matrix(gamma, 0.05, cfg, method="jko")
+        for j in range(gamma.n):
+            row = np.zeros(gamma.n)
+            if gamma.weights[j] > 0:
+                mu = ef.transition_measure(gamma, float(gamma.grid[j]), 0.05, cfg)
+                row[gamma.locate(mu.x)] = mu.weights
+            else:
+                row[j] = 1.0
+            assert np.abs(p[j] - row).max() <= 1e-12
+
+    def test_jko_row_failure_names_step_and_cell(self):
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 30, (-8.0, 8.0))
+        cfg = ef.JkoConfig(tau=0.01, max_inner_iters=2, inner_tol=1e-16)
+        with pytest.raises(ef.JkoSolverError) as err:
+            orc.semigroup_matrix(gamma, 0.02, cfg, method="jko")
+        # the reported row is the first start cell whose own first step fails
+        lat = QuantileLattice(gamma)
+        for j in np.flatnonzero(gamma.weights > 0):
+            e0 = lat.from_grid(ef.dirac_on_grid(gamma, float(gamma.grid[j])))
+            e, _, _, _, residual, _, converged = _native_step(lat, e0, cfg.tau, 1.0, 1e-16, 2)
+            if not converged:
+                break
+        assert str(err.value).startswith(f"step 0, start cell {j}: inner Newton residual")
+        assert err.value.residual == residual
+        best = lat.to_measure(e)
+        assert np.array_equal(err.value.best_measure.x, best.x)
+        assert np.array_equal(err.value.best_measure.weights, best.weights)
 
     def test_reversibility(self, gaussian_ref_coarse, uniform_ref):
         assert orc.reversibility_check(gaussian_ref_coarse, 0.5).asymmetry < 1e-3

@@ -276,7 +276,12 @@ CONFIG_PROBES = [
     ("sde", {"oracle": {"dt": 0.01, "paths": 0}}, "oracle.paths"),
     ("sde", {"oracle": {"dt": 0.01, "paths": -5}}, "oracle.paths"),
     ("stability", {"sequence": {"kind": "variance_perturbed", "ns": ["a"]}}, "sequence.ns"),
+    ("stability", {"grid": {"n": 1}}, "grid.n"),
 ]
+PROBE_IDS = [f"{c}-{f}" for c, _, f in CONFIG_PROBES]
+# a grid.n of the right type but too small, beside the wrong-type flow probe above
+CONFIG_PROBES.append(("flow", {"grid": {"n": 1, "bounds": [-8, 8]}}, "grid.n"))
+PROBE_IDS.append("flow-grid.n-too-small")
 
 
 def _write_config(tmp_path, cfg):
@@ -287,7 +292,7 @@ def _write_config(tmp_path, cfg):
 
 class TestCliContract:
     @pytest.mark.parametrize(
-        "command,override,field", CONFIG_PROBES, ids=[f"{c}-{f}" for c, _, f in CONFIG_PROBES]
+        "command,override,field", CONFIG_PROBES, ids=PROBE_IDS
     )
     def test_config_error_names_field(self, tmp_path, capsys, command, override, field):
         path = _write_config(tmp_path, {**PROBE_BASE, **override})
@@ -295,6 +300,30 @@ class TestCliContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config field '{field}': ")
         assert not (tmp_path / "o").exists()  # rejected before any work started
+
+    def test_seed_override_checked(self, tmp_path, capsys):
+        assert cli_main(["check-all", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config field '--seed': expected a nonnegative integer"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "kind,name,default", [("quadratic", "m", 0.25), ("quartic", "b", 0.5), ("abs", "c", 0.75)]
+    )
+    def test_descriptor_defaults_are_the_factories(self, tmp_path, monkeypatch, kind, name, default):
+        # a changed factory default reaches the potential a config builds
+        factory = {"quadratic": ef.quadratic, "quartic": ef.quartic, "abs": ef.abs_potential}[kind]
+        monkeypatch.setattr(factory, "__defaults__", (default,))
+        cfg = {
+            **PROBE_BASE,
+            "potential": {"kind": kind, "a": 1.0},
+            "grid": {"n": 60},
+            "initial": {"kind": "gaussian", "mean": 0.5, "std": 1.0},
+        }
+        out = tmp_path / "o"
+        assert cli_main(["flow", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        sidecar = json.loads((out / "reference.json").read_text())
+        assert sidecar["potential"] == {"kind": kind, "a": 1.0, name: default}
 
     def test_solver_failure_exit_3(self, tmp_path, capsys):
         path = _write_config(tmp_path, {**PROBE_BASE, "jko": {"tau": 0.01, "max_inner_iters": 1}})
