@@ -195,7 +195,10 @@ def _initial(c: dict, gamma):
 
     desc = c["initial"]
     if desc["kind"] == "gaussian":
-        return ms.gaussian_on_grid(gamma, float(desc["mean"]), float(desc["std"]))
+        try:
+            return ms.gaussian_on_grid(gamma, float(desc["mean"]), float(desc["std"]))
+        except ValueError as exc:
+            raise ConfigError("initial", str(exc)) from exc
     if desc["kind"] == "dirac":
         return ms.dirac_on_grid(gamma, float(desc["x"]))
     return gamma.as_measure()

@@ -300,26 +300,23 @@ def _native_step(
     lat: QuantileLattice,
     e_prev: np.ndarray,
     tau: float,
-    cost_scale: float,
     inner_tol: float,
     max_iters: int,
     start: np.ndarray | None = None,
 ):
-    """Newton solve of min_e H(e) + cost_scale W2^2(e, e_prev) / (2 tau).
+    """Newton solve of min_e H(e) + W2^2(e, e_prev) / (2 tau) for each row of a stack.
 
-    ``e_prev`` is one edge vector (n+1,) or a stack (B, n+1) of independent
-    problems, solved together: one banded solve per Newton iteration for
-    the whole stack, while each row keeps its own backtracking line search,
-    convergence test and iteration count. A row's result is therefore the
-    one it gets alone. The iterates start at ``start`` (default ``e_prev``).
-    Returns (edges, objective, entropy, w2_sq, residual, iterations,
-    converged), with one entry per row, or scalars for a single vector.
+    ``e_prev`` is a stack (B, n+1) of independent problems, solved together:
+    one banded solve per Newton iteration for the whole stack, while each
+    row keeps its own backtracking line search, convergence test and
+    iteration count. A row's result is therefore the one it gets alone. The
+    iterates start at ``start`` (default ``e_prev``). Returns (edges,
+    objective, entropy, w2_sq, residual, iterations, converged), each with
+    one entry per row.
     """
-    single = e_prev.ndim == 1
-    e_prev = np.atleast_2d(e_prev)
-    inv_tau = cost_scale / tau
+    inv_tau = 1.0 / tau
     lo, hi = lat.domain
-    e = _strictly_increasing(_clamp(np.atleast_2d(e_prev if start is None else start), lo, hi))
+    e = _strictly_increasing(_clamp(e_prev if start is None else start, lo, hi))
     if math.isfinite(hi):
         spill = e[:, -1] > hi  # the tie-repair ramp may spill over a wall
         if spill.any():
@@ -395,10 +392,7 @@ def _native_step(
             if not active.any():
                 break
     converged = gap_est <= max(inner_tol, 1e-10) * scale
-    out = (e, value, ent, w2s, gap_est, iters, converged)
-    if single:
-        return (e[0],) + tuple(x[0].item() for x in out[1:])
-    return out
+    return e, value, ent, w2s, gap_est, iters, converged
 
 
 def _newton_direction(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -500,55 +494,55 @@ class FlowTrajectory:
         return self.lattice.to_measure(self.edges[-1])
 
 
-def _flow_batch(
+def _flow_steps(
     lat: QuantileLattice,
     e0: np.ndarray,
     cfg: JkoConfig,
     T: float,
-    cost_scale: float = 1.0,
     labels: list[str] | None = None,
 ):
     """Chain ceil(T/tau) proximal steps from each row of ``e0`` (B, n+1) as one batch.
 
-    This is the one trajectory loop; a single flow is the batch B=1.
-    Returns the edge stacks (initial state first), then per time the
-    entropies, and per step the W2 increments, the residuals of the
-    variational inequality against gamma and the Newton outputs
-    (objective, entropy, w2_sq, residual, iterations, converged), each
-    with one entry per row. A row that fails to converge raises
-    JkoSolverError with that row's best iterate, naming the step and, when
-    ``labels`` are given, the row.
+    This is the one trajectory loop; a single flow is the batch B=1. It
+    yields each step's Newton outputs (edges, objective, entropy, w2_sq,
+    residual, iterations, converged), each with one entry per row, and
+    keeps nothing itself: a caller holds on to the states it reads. A row
+    that fails to converge raises JkoSolverError with that row's best
+    iterate, naming the step and, when ``labels`` are given, the row.
     """
     if T < cfg.tau:
         raise ValueError("horizon T must be at least one step")
-    e_gamma = lat.gamma_edges
-    n_steps = int(math.ceil(T / cfg.tau - 1e-9))
-    edges = [e0]
-    entropies = [lat.entropy(e0)]
-    increments = []
-    residuals = []
-    newton = []
-    w2g_prev = lat.w2_sq(e0, e_gamma)
-
-    for k in range(n_steps):
-        out = _native_step(lat, edges[-1], cfg.tau, cost_scale, cfg.inner_tol, cfg.max_inner_iters)
-        e_next, value, ent, w2s, residual, iters, converged = out
+    e = e0
+    for k in range(int(math.ceil(T / cfg.tau - 1e-9))):
+        out = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
+        e, residual, converged = out[0], out[4], out[6]
         if not converged.all():
             i = int(np.argmin(converged))
             where = f"step {k}" if labels is None else f"step {k}, {labels[i]}"
             raise JkoSolverError(
                 f"{where}: inner Newton residual {residual[i]:.3e} above tolerance",
-                best_measure=lat.to_measure(e_next[i]),
+                best_measure=lat.to_measure(e[i]),
                 residual=float(residual[i]),
             )
-        w2g = lat.w2_sq(e_next, e_gamma)
-        residuals.append((w2g - w2g_prev) / (2.0 * cfg.tau) + ent)
-        increments.append(np.sqrt(np.maximum(w2s, 0.0)))
-        entropies.append(ent)
-        edges.append(e_next)
-        newton.append(out[1:])
-        w2g_prev = w2g
-    return edges, entropies, increments, residuals, newton
+        yield out
+
+
+def _flow_end(lat: QuantileLattice, e0: np.ndarray, cfg: JkoConfig, T: float, labels: list[str]):
+    """The stack the flows of ``e0`` reach at horizon T, holding no other state."""
+    for e, *_ in _flow_steps(lat, e0, cfg, T, labels):
+        pass
+    return e
+
+
+def _evi_residuals(lat: QuantileLattice, edges, entropies: np.ndarray, tau: float, e_nu, h_nu: float):
+    """Residuals of the discrete variational inequality of each step against nu.
+
+    residual_k = [W2^2(e_{k+1}, nu) - W2^2(e_k, nu)] / (2 tau) + H(e_{k+1}) - H(nu)
+    for the states ``edges`` with entropies ``entropies`` (the start first);
+    nonpositive for exact steps.
+    """
+    d = np.array([lat.w2_sq(e, e_nu) for e in edges])
+    return (d[1:] - d[:-1]) / (2.0 * tau) + entropies[1:] - h_nu
 
 
 def jko_trajectory(
@@ -556,7 +550,6 @@ def jko_trajectory(
     mu0: DiscreteMeasure,
     cfg: JkoConfig,
     T: float,
-    cost_scale: float = 1.0,
     lattice: QuantileLattice | None = None,
     initial_edges: np.ndarray | None = None,
 ) -> FlowTrajectory:
@@ -570,17 +563,19 @@ def jko_trajectory(
     """
     lat = lattice if lattice is not None else QuantileLattice(gamma)
     e = np.asarray(initial_edges, dtype=float) if initial_edges is not None else lat.from_grid(mu0)
-    edges, entropies, increments, residuals, newton = _flow_batch(lat, e[None], cfg, T, cost_scale)
+    steps = list(_flow_steps(lat, e[None], cfg, T))
+    edges = [e] + [step[0][0] for step in steps]
+    entropies = np.array([lat.entropy(e)] + [step[2][0] for step in steps])
     return FlowTrajectory(
         times=np.arange(len(edges)) * cfg.tau,
-        edges=[stack[0] for stack in edges],
-        entropies=np.concatenate(entropies),
-        w2_increments=np.concatenate(increments),
-        evi_residuals=np.concatenate(residuals),
+        edges=edges,
+        entropies=entropies,
+        w2_increments=np.sqrt(np.maximum([step[3][0] for step in steps], 0.0)),
+        evi_residuals=_evi_residuals(lat, edges, entropies, cfg.tau, lat.gamma_edges, 0.0),
         config=cfg,
         gamma=gamma,
         lattice=lat,
-        step_infos=[StepInfo(*(x[0].item() for x in step)) for step in newton],
+        step_infos=[StepInfo(*(x[0].item() for x in step[1:])) for step in steps],
     )
 
 
@@ -672,22 +667,16 @@ def evi_residual_profile(
 ) -> np.ndarray:
     """Per-step residuals of the discrete variational inequality against nu.
 
-    residual_k = [W2^2(mu_{k+1}, nu) - W2^2(mu_k, nu)] / (2 dt)
-                 + H(mu_{k+1}) - H(nu); nonpositive for exact steps.
+    residual_k = [W2^2(mu_{k+1}, nu) - W2^2(mu_k, nu)] / (2 tau)
+                 + H(mu_{k+1}) - H(nu); nonpositive for exact steps. The
+    flow's own ``evi_residuals`` are the same formula taken against gamma.
     """
     lat = traj.lattice
     e_nu = lat.from_grid(nu)
     h_nu = lat.entropy(e_nu)
     if not math.isfinite(h_nu):
         raise ValueError("test measure must have finite entropy")
-    d_prev = lat.w2_sq(traj.edges[0], e_nu)
-    out = []
-    for k in range(len(traj.edges) - 1):
-        d_next = lat.w2_sq(traj.edges[k + 1], e_nu)
-        dt = traj.times[k + 1] - traj.times[k]
-        out.append((d_next - d_prev) / (2.0 * dt) + traj.entropies[k + 1] - h_nu)
-        d_prev = d_next
-    return np.asarray(out)
+    return _evi_residuals(lat, traj.edges, traj.entropies, traj.config.tau, e_nu, h_nu)
 
 
 def _random_smooth_members(lat: QuantileLattice, count, rng):
@@ -805,7 +794,7 @@ def invariance_check(
     lat = QuantileLattice(gamma)
     e0 = np.stack([lat.from_grid(mu) for mu in candidates])
     labels = [f"candidate {i}" for i in range(len(candidates))]
-    final = _flow_batch(lat, e0, cfg, t, labels=labels)[0][-1]
+    final = _flow_end(lat, e0, cfg, t, labels)
     report = CheckReport()
     for i, (mu, moved) in enumerate(zip(candidates, lat.w2(final, e0).tolist())):
         is_gamma = mu.n == gm.n and np.allclose(mu.x, gm.x) and np.allclose(

@@ -737,6 +737,8 @@ class DiscreteMeasure:
             raise ValueError("points and weights must align")
         if not np.all(np.isfinite(pts)):
             raise ValueError("support coordinates must be finite")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("weights must be finite")
         if np.any(w < -1e-15):
             raise ValueError("weights must be nonnegative")
         w = np.maximum(w, 0.0)
@@ -797,8 +799,11 @@ def gaussian_on_grid(gamma: ReferenceMeasure, mean: float, std: float) -> Discre
     """Discretized N(mean, std^2) restricted to gamma's support cells."""
     if std <= 0:
         raise ValueError("std must be positive")
-    z = (gamma.grid - mean) / std
-    logw = np.where(gamma.support_mask, -0.5 * z**2, -np.inf)
+    with np.errstate(over="ignore"):  # a cell whose z^2 overflows has no mass in float
+        z = (gamma.grid - mean) / std
+        logw = np.where(gamma.support_mask, -0.5 * z**2, -np.inf)
+    if not np.isfinite(logw.max()):
+        raise ValueError(f"N({mean:g}, {std:g}^2) has no representable mass on the reference support")
     w = np.exp(logw - logw.max())
     return grid_measure(gamma, w)
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure, dirac_on_grid
-from .jko import JkoConfig, QuantileLattice, _flow_batch
+from .jko import JkoConfig, QuantileLattice, _flow_end
 
 __all__ = [
     "FpSolution",
@@ -69,19 +69,22 @@ def _fp_generator(potential: ConvexPotential, grid: np.ndarray, h: float):
     Fluxes are written as g * d(u/g) with g = exp(-V) evaluated through the
     harmonic mean at cell faces, so the discrete stationary state is exactly
     the discretized reference and column sums vanish (mass conservation).
-    No-flux conditions close the two boundary faces.
+    No-flux conditions close the two boundary faces and every face next to
+    a cell where V = +inf (g = 0), which cuts such cells off from the
+    support block. V is read only at the grid points, so kinks need no care.
     """
     v = potential.value(grid)
     v = v - v.min()
     g = np.exp(-v)
-    g_face = 2.0 * g[:-1] * g[1:] / (g[:-1] + g[1:])
-    w_face = g_face / h**2
+    closed = (g[:-1] == 0.0) | (g[1:] == 0.0)
+    gl, gr = np.where(closed, 1.0, g[:-1]), np.where(closed, 1.0, g[1:])
+    w_face = np.where(closed, 0.0, 2.0 * gl * gr / (gl + gr)) / h**2
     # action on weights p: (L p)_j = w_{j+1/2} (p_{j+1}/g_{j+1} - p_j/g_j) + ...
-    lower = w_face / g[:-1]
-    upper = w_face / g[1:]
+    lower = w_face / gl
+    upper = w_face / gr
     diag = np.zeros(len(grid))
-    diag[:-1] -= w_face / g[:-1]
-    diag[1:] -= w_face / g[1:]
+    diag[:-1] -= lower
+    diag[1:] -= upper
     return lower, diag, upper
 
 
@@ -130,8 +133,6 @@ def fp_solve(
     """
     if mu0.dim != 1:
         raise ValueError("the solver is one-dimensional")
-    if not potential.is_smooth():
-        raise ValueError("Fokker-Planck oracle needs a potential without kinks")
     if grid is None:
         grid = mu0.x
         weights0 = mu0.weights.copy()
@@ -359,7 +360,7 @@ def semigroup_matrix(
         live = np.flatnonzero(gamma.weights > 0)
         lat = QuantileLattice(gamma)
         starts = np.stack([lat.from_grid(dirac_on_grid(gamma, float(gamma.grid[j]))) for j in live])
-        final = _flow_batch(lat, starts, cfg, t, labels=[f"start cell {j}" for j in live])[0][-1]
+        final = _flow_end(lat, starts, cfg, t, [f"start cell {j}" for j in live])
         for j, e in zip(live, final):
             mu_t = lat.to_measure(e)
             rows[j] = 0.0

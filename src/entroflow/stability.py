@@ -346,7 +346,7 @@ def gamma_convergence_check(
 class FlowStabilityResult:
     ns: tuple[int, ...]
     times: np.ndarray
-    gaps: np.ndarray  # (len(ns),) sup over times of W2(member flow, limit flow)
+    gaps: np.ndarray  # (len(ns),) sup over steps of W2(member flow, limit flow)
     report: CheckReport
 
 
@@ -362,48 +362,42 @@ def flow_stability_run(
     """Transition flows under every member against the limit flow.
 
     Every flow starts from the uniform law of width h, the limit's cell
-    width, whatever its member's grid: centred at x_n under gamma_n (with
-    the member norm as a cost weight when norms are supplied) and at x
-    under the limit, shifted into the domain. The report holds the sup over
-    step times of the cross-lattice distance; the gap ladder must shrink to
-    ``final_gap_tol`` and be monotone within ``monotone_slack``.
+    width, whatever its member's grid: centred at x_n under gamma_n and at
+    x under the limit, shifted into the domain. A member norm s, when norms
+    are supplied, weights the metric; that proximal problem is the
+    unweighted one with step tau/s, so the member runs with step tau/s over
+    T/s and is compared with the limit step by step. The report holds the
+    sup over steps of the cross-lattice distance; the gap ladder must
+    shrink to ``final_gap_tol`` and be monotone within ``monotone_slack``.
     """
     x_n = list(x_n)
     if len(x_n) != len(seq.members):
         raise ValueError("one start point per member required")
     h = seq.limit.cell_width
 
-    def flow(gamma, centre, scale=1.0):
+    def flow(gamma, centre, s=1.0):
         lat = QuantileLattice(gamma)
         lo, hi = lat.domain
         a = min(max(centre - 0.5 * h, lo), hi - h)  # left edge of the law
         edges = a + h * lat.levels
-        return lat, jko_trajectory(gamma, None, cfg, T, cost_scale=scale, lattice=lat, initial_edges=edges)
+        traj = jko_trajectory(gamma, None, cfg.with_tau(cfg.tau / s), T / s, lattice=lat, initial_edges=edges)
+        return lat, traj
 
     lat_limit, traj_limit = flow(seq.limit, x)
-    times = traj_limit.times[1:]
     gaps = []
     for i, member in enumerate(seq.members):
-        scale = 1.0
-        if seq.norms is not None:
-            scale = float(seq.norms[i].matrix[0, 0])
-        lat, traj = flow(member, x_n[i], scale)
+        s = 1.0 if seq.norms is None else float(seq.norms[i].matrix[0, 0])
+        lat, traj = flow(member, x_n[i], s)
         worst = 0.0
-        for t in times:
-            worst = max(
-                worst,
-                w2_quantile_knots(
-                    (lat.levels, traj.edges_at(t)),
-                    (lat_limit.levels, traj_limit.edges_at(t)),
-                ),
-            )
+        for e, e_limit in zip(traj.edges[1:], traj_limit.edges[1:], strict=True):
+            worst = max(worst, w2_quantile_knots((lat.levels, e), (lat_limit.levels, e_limit)))
         gaps.append(worst)
     gaps = np.asarray(gaps)
     report = CheckReport()
     report.add("flow_gap_final", float(gaps[-1]), final_gap_tol, 0.0, f"n={seq.ns[-1]}")
     worst_increase = float(np.max(np.diff(gaps))) if len(gaps) > 1 else 0.0
     report.add("flow_gap_monotone", worst_increase, 0.0, monotone_slack)
-    return FlowStabilityResult(ns=seq.ns, times=times, gaps=gaps, report=report)
+    return FlowStabilityResult(ns=seq.ns, times=traj_limit.times[1:], gaps=gaps, report=report)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 import entroflow as ef
-from entroflow.jko import QuantileLattice, StepInfo, _flow_batch, _native_step
+from entroflow.jko import QuantileLattice, StepInfo, _flow_steps, _native_step
 from entroflow.transport import w2_knots_to_gaussian
 from conftest import random_grid_measure
 
@@ -84,7 +84,7 @@ class TestStep:
         mu = ef.gaussian_on_grid(gam, 0.8, 0.9)
         e_prev = lat.from_grid(mu)
         tau = 0.05
-        e, value, *_ = _native_step(lat, e_prev, tau, 1.0, 1e-13, 120)
+        e, value, *_ = (x[0] for x in _native_step(lat, e_prev[None], tau, 1e-13, 120))
 
         def objective(z):
             edges = np.cumsum(np.abs(z)) + lat.gamma_edges[0] - abs(z[0])
@@ -110,7 +110,7 @@ class TestStep:
         mu = ef.grid_measure(gam, w)
         e_prev = lat.from_grid(mu)
         tau = 0.1
-        e, value, *_ = _native_step(lat, e_prev, tau, 1.0, 1e-13, 200)
+        e, value, *_ = (x[0] for x in _native_step(lat, e_prev[None], tau, 1e-13, 200))
 
         best = (np.inf, None)
         grid_e = np.linspace(1e-4, 1 - 1e-4, 900)
@@ -135,10 +135,11 @@ class TestStep:
         for _ in range(10):
             jitter = rng.uniform(0.2, 2.0) * np.sort(rng.normal(0, 0.02, len(e_prev)))
             start = np.sort(e_prev + jitter)
-            e, *_, converged = _native_step(lat, e_prev, 0.02, 1.0, 1e-13, 200, start=start)
+            out = _native_step(lat, e_prev[None], 0.02, 1e-13, 200, start=start[None])
+            e, *_, converged = (x[0] for x in out)
             assert converged
             outs.append(e)
-        base, _, _, _, _, _, converged = _native_step(lat, e_prev, 0.02, 1.0, 1e-13, 200)
+        base, *_, converged = (x[0] for x in _native_step(lat, e_prev[None], 0.02, 1e-13, 200))
         assert converged
         for e in outs:
             assert lat.w2(base, e) < 1e-6
@@ -163,8 +164,8 @@ class TestStep:
             out, info = ef.jko_step_detailed(gamma, mu, cfg, lattice=lat)
             # the one-step flow, run directly through the Newton kernel
             e_prev = lat.from_grid(mu)
-            e, value, ent, w2s, residual, iters, converged = _native_step(
-                lat, e_prev, cfg.tau, 1.0, cfg.inner_tol, cfg.max_inner_iters
+            e, value, ent, w2s, residual, iters, converged = (
+                x[0] for x in _native_step(lat, e_prev[None], cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
             )
             expected = lat.to_measure(e)
             assert np.array_equal(out.x, expected.x)
@@ -206,19 +207,20 @@ class TestBatch:
         starts = [lat.from_grid(random_grid_measure(gamma, rng)) for _ in range(3)]
         starts += [lat.from_grid(ef.dirac_on_grid(gamma, float(gamma.grid[j]))) for j in sup[[0, len(sup) // 3, -1]]]
         starts.append(lat.gamma_member())
-        edges, entropies, _, residuals, newton = _flow_batch(lat, np.stack(starts), cfg, 0.05)
+        steps = list(_flow_steps(lat, np.stack(starts), cfg, 0.05))
         for i, e0 in enumerate(starts):
             traj = ef.jko_trajectory(gamma, None, cfg, 0.05, lattice=lat, initial_edges=e0)
-            assert len(edges) == len(traj.edges)
-            assert all(np.array_equal(stack[i], e) for stack, e in zip(edges, traj.edges))
-            assert np.array_equal([h[i] for h in entropies], traj.entropies)
-            assert np.array_equal([r[i] for r in residuals], traj.evi_residuals)
-            assert [StepInfo(*(x[i].item() for x in step)) for step in newton] == traj.step_infos
+            assert len(steps) + 1 == len(traj.edges)
+            assert all(np.array_equal(step[0][i], e) for step, e in zip(steps, traj.edges[1:]))
+            assert np.array_equal([step[2][i] for step in steps], traj.entropies[1:])
+            assert [StepInfo(*(x[i].item() for x in step[1:])) for step in steps] == traj.step_infos
             # and one Newton step on the stack is the step of each row alone
-            e, value, _, _, residual, iters, converged = _native_step(lat, e0, cfg.tau, 1.0, 1e-12, 80)
-            assert np.array_equal(e, edges[1][i])
+            e, value, _, _, residual, iters, converged = (
+                x[0] for x in _native_step(lat, e0[None], cfg.tau, 1e-12, 80)
+            )
+            assert np.array_equal(e, steps[0][0][i])
             assert (value, residual, iters, converged) == (
-                newton[0][0][i], newton[0][3][i], newton[0][4][i], newton[0][5][i]
+                steps[0][1][i], steps[0][4][i], steps[0][5][i], steps[0][6][i]
             )
 
     def test_failing_row_raises_with_its_own_iterate(self, gaussian_ref_coarse):
@@ -233,8 +235,10 @@ class TestBatch:
         with pytest.raises(ef.JkoSolverError) as err:
             ef.invariance_check(gamma, candidates, 0.05, cfg)
         lat = QuantileLattice(gamma)
-        e, _, _, _, residual, _, converged = _native_step(
-            lat, lat.from_grid(candidates[2]), cfg.tau, 1.0, cfg.inner_tol, cfg.max_inner_iters
+        e, _, _, _, residual, _, converged = (
+            x[0] for x in _native_step(
+                lat, lat.from_grid(candidates[2])[None], cfg.tau, cfg.inner_tol, cfg.max_inner_iters
+            )
         )
         assert not converged
         assert str(err.value) == f"step 0, candidate 2: inner Newton residual {residual:.3e} above tolerance"

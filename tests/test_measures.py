@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -287,3 +288,26 @@ class TestDiscreteMeasure:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             ef.DiscreteMeasure.from_atoms([0.0, 1.0], [1.5, -0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            ef.DiscreteMeasure.from_atoms([0.0, 1.0], [bad, 1.0])
+
+
+class TestGaussianOnGrid:
+    @pytest.mark.parametrize("mean,std", [(0.0, 1e-300), (1e300, 1.0)])
+    def test_no_representable_mass(self, gaussian_ref, mean, std):
+        # every cell's z^2 overflows: a clean error, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no representable mass"):
+                ef.gaussian_on_grid(gaussian_ref, mean, std)
+
+    def test_narrow_law_on_a_cell_centre(self, gaussian_ref):
+        # the cells around the one at the mean overflow to zero weight
+        x = float(gaussian_ref.grid[37])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mu = ef.gaussian_on_grid(gaussian_ref, x, 1e-300)
+        assert mu.n == 1 and mu.x[0] == x

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -336,15 +337,27 @@ class TestCliContract:
         assert "checks" not in manifest
 
     def test_oracle_failure_exit_3(self, tmp_path, capsys):
-        cfg = {**PROBE_BASE, "potential": {"kind": "abs", "a": 1}, "grid": {"n": 60}}
-        assert cli_main(["fp", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
+        # the quartic drift at the probe ends moves a path 500 times the probe span in one step
+        cfg = {**PROBE_BASE, "potential": {"kind": "quartic", "a": 1}, "oracle": {"dt": 0.5, "paths": 50}}
+        assert cli_main(["sde", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
         lines = capsys.readouterr().err.splitlines()
-        manifest = json.loads((tmp_path / "o" / "fp_manifest.json").read_text())
+        manifest = json.loads((tmp_path / "o" / "sde_manifest.json").read_text())
         assert manifest["failure"] == {
             "type": "ValueError",
-            "message": "Fokker-Planck oracle needs a potential without kinks",
+            "message": "drift step exceeds the domain scale; reduce dt",
         }
-        assert lines == ["fp failed: ValueError: Fokker-Planck oracle needs a potential without kinks"]
+        assert lines == ["sde failed: ValueError: drift step exceeds the domain scale; reduce dt"]
+
+    @pytest.mark.parametrize("mean,std", [(0.0, 1e-300), (1e300, 1.0)])
+    def test_unrepresentable_gaussian_initial(self, tmp_path, capsys, mean, std):
+        cfg = {**PROBE_BASE, "initial": {"kind": "gaussian", "mean": mean, "std": std}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["flow", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config field 'initial': ")
+        assert "no representable mass" in lines[0]
+        assert not list((tmp_path / "o").glob("*"))  # nothing written
 
     def test_affine_envelope_stability_passes(self, tmp_path):
         # every member flow and the limit flow start from the same uniform law

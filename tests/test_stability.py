@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -159,12 +160,30 @@ class TestFlowStability:
         )
         assert gap < 0.05
 
-    def test_weighted_norms_scale_flow(self):
-        # a scalar metric weight rescales the proximal penalty
+    def test_weighted_norms_scale_flow(self, monkeypatch):
+        # a scalar metric weight s makes the step min H + s W2^2 / (2 tau): each member
+        # flow the run compares equals that weighted flow, solved here with s on the
+        # lattice metric itself, step by step
         seq = st.build_sequence("variance_perturbed", ef.quadratic(1.0), ns=(8, 64), grid_n=300)
-        norms = [ef.NormSpec.scaled_identity(1.0 + 1.0 / n, 1) for n in (8, 64)]
-        seq.norms = norms
-        res = st.flow_stability_run(seq, [1.0, 1.0], 1.0, 0.5, ef.JkoConfig(tau=5e-3))
+        seq.norms = [ef.NormSpec.scaled_identity(1.0 + 1.0 / n, 1) for n in (8, 64)]
+        cfg = ef.JkoConfig(tau=5e-3)
+        flows, run_flow = [], st.jko_trajectory
+
+        def recorded(*args, **kwargs):
+            flows.append(run_flow(*args, **kwargs))
+            return flows[-1]
+
+        monkeypatch.setattr(st, "jko_trajectory", recorded)
+        res = st.flow_stability_run(seq, [1.0, 1.0], 1.0, 0.5, cfg)
+        limit, members = flows[0], flows[1:]
+        assert len(members) == 2
+        for norm, traj in zip(seq.norms, members):
+            s = float(norm.matrix[0, 0])
+            weighted = copy.copy(traj.lattice)
+            weighted._m_diag, weighted._m_off = s * weighted._m_diag, s * weighted._m_off
+            ref = run_flow(traj.gamma, None, cfg, 0.5, lattice=weighted, initial_edges=traj.edges[0])
+            assert len(ref.edges) == len(traj.edges) == len(limit.edges)
+            assert max(traj.lattice.w2(a, b) for a, b in zip(ref.edges, traj.edges)) <= 1e-12
         assert res.gaps[-1] < 0.05
 
 
