@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import sys
 import time
 from collections import namedtuple
@@ -466,6 +467,7 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
             print("config field '<root>': expected an object", file=sys.stderr)
             return 2
     name = command.replace("-", "_")
+    created = None
     try:
         c = _check(cfg, _SCHEMAS[command], tol_scale=tol_scale)  # before any work starts
         if seed is None:
@@ -473,10 +475,14 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
         elif not _KINDS["seed"][0](seed):
             raise ConfigError("--seed", f"expected {_KINDS['seed'][1]}")
         outdir = Path(out if out is not None else c["output_dir"])
+        # the outermost directory this run creates, removed again on a config error
+        created = next((p for p in (*reversed(outdir.parents), outdir) if not p.exists()), None)
         outdir.mkdir(parents=True, exist_ok=True)
         manifest = {"config": cfg, "version": __version__, "seed": seed}
         report, entries = _COMMANDS[command](c, outdir, seed, tol_scale)
     except ConfigError as exc:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print(str(exc), file=sys.stderr)
         return 2
     except (RuntimeError, ValueError) as exc:

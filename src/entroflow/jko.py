@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solveh_banded
+from scipy.linalg.lapack import dptsv
 
 from .measures import (
     DiscreteMeasure,
@@ -164,28 +164,30 @@ class QuantileLattice:
         return out
 
     # -- entropy -----------------------------------------------------------
-    def entropy(self, edges: np.ndarray):
+    def entropy(self, edges: np.ndarray, iv: np.ndarray | None = None):
         """Exact relative entropy of the represented measure against gamma.
 
         Rows with a collapsed or reversed cell, or a cell outside the
-        potential's domain, have entropy +inf.
+        potential's domain, have entropy +inf. ``iv`` may pass in the
+        potential's cell integrals over ``edges`` when they are at hand.
         """
         de = edges[..., 1:] - edges[..., :-1]
         increasing = (de > 0.0).all(axis=-1)
         if not increasing.all():
             de = np.where(increasing[..., None], de, 1.0)  # keeps those rows out of the logarithm
-        iv = self.gamma.potential.cell_integrals(edges)
+        if iv is None:
+            iv = self.gamma.potential.cell_integrals(edges)
         m = self._mass
         val = (
             np.sum(m * (self._log_cell_mass - np.log(de)), axis=-1) + np.sum(m * iv / de, axis=-1)
         ) + self.gamma.log_partition
         return _rows(np.where(increasing & np.isfinite(iv).all(axis=-1), val, np.inf), de)
 
-    def _entropy_grad_hess(self, edges: np.ndarray):
+    def _entropy_grad_hess(self, edges: np.ndarray, iv: np.ndarray):
+        """Entropy gradient and tridiagonal Hessian; ``iv`` are the cell integrals over ``edges``."""
         pot = self.gamma.potential
         de = edges[..., 1:] - edges[..., :-1]
         m = self._mass
-        iv = pot.cell_integrals(edges)
         v = pot.value(edges)
         vp = pot.drift(edges)
         vl, vr = v[..., :-1], v[..., 1:]
@@ -194,41 +196,40 @@ class QuantileLattice:
         inv = 1.0 / de
         g_left = m * (inv + (avg - vl) / de)
         g_right = m * (-inv + (vr - avg) / de)
-        grad = np.zeros(edges.shape)
-        grad[..., :-1] += g_left
-        grad[..., 1:] += g_right
         # Hessian blocks (symmetric per cell)
         de2 = de * de
         inv2 = 1.0 / de2
         h_ll = m * (inv2 + (-vp[..., :-1] * de + 2.0 * (avg - vl)) / de2)
         h_rr = m * (inv2 + (vp[..., 1:] * de - 2.0 * (vr - avg)) / de2)
         h_lr = m * (-inv2 + (vr + vl - 2.0 * avg) / de2)
-        diag = np.zeros(edges.shape)
-        diag[..., :-1] += h_ll
-        diag[..., 1:] += h_rr
-        return grad, diag, h_lr
+        return _edge_sums(g_left, g_right), _edge_sums(h_ll, h_rr), h_lr
 
     # -- conversions ---------------------------------------------------------
     def from_grid(self, mu: DiscreteMeasure) -> np.ndarray:
         """Edges of the family member matching a histogram on gamma's grid.
 
-        The histogram's quantile function (cells read as uniform blocks) is
-        evaluated at the lattice levels. Off-grid measures are re-binned
-        first.
+        Off-grid measures are re-binned first; see ``from_weights``.
         """
         if mu.dim != 1:
             raise ValueError("the flow is one-dimensional")
         if np.any(self.gamma.locate(mu.x) < 0):
             mu = rebin_measure(mu, self.gamma)
-        h = self.gamma.cell_width
-        idx = self.gamma.locate(mu.x)
         w = np.zeros(self.gamma.n)
-        w[idx] = mu.weights
+        w[self.gamma.locate(mu.x)] = mu.weights
+        return self.from_weights(w)
+
+    def from_weights(self, weights: np.ndarray) -> np.ndarray:
+        """Edges of the family member matching cell weights on gamma's grid.
+
+        The histogram's quantile function (cells read as uniform blocks) is
+        evaluated at the lattice levels.
+        """
+        h = self.gamma.cell_width
         # mass on cells trimmed from the lattice block collapses onto its ends
         lo_cell, hi_cell = self._support[0], self._support[-1]
-        w[lo_cell] += w[:lo_cell].sum()
-        w[hi_cell] += w[hi_cell + 1 :].sum()
-        w = w[self._support]
+        w = weights[self._support]
+        w[0] += weights[:lo_cell].sum()
+        w[-1] += weights[hi_cell + 1 :].sum()
         total = w.sum()
         if total <= 0:
             raise ValueError("measure has no mass on the lattice support")
@@ -288,6 +289,15 @@ def _rows(values: np.ndarray, operand: np.ndarray):
     return values if operand.ndim > 1 else float(values[0])
 
 
+def _edge_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-edge sums of per-cell terms: edge i takes left[i] + right[i-1]."""
+    out = np.empty(left.shape[:-1] + (left.shape[-1] + 1,))
+    out[..., 0] = left[..., 0]
+    np.add(left[..., 1:], right[..., :-1], out=out[..., 1:-1])
+    out[..., -1] = right[..., -1]
+    return out
+
+
 def _clamp(e: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if math.isfinite(lo):
         e = np.maximum(e, lo)
@@ -303,6 +313,7 @@ def _native_step(
     inner_tol: float,
     max_iters: int,
     start: np.ndarray | None = None,
+    state: tuple | None = None,
 ):
     """Newton solve of min_e H(e) + W2^2(e, e_prev) / (2 tau) for each row of a stack.
 
@@ -310,12 +321,19 @@ def _native_step(
     one banded solve per Newton iteration for the whole stack, while each
     row keeps its own backtracking line search, convergence test and
     iteration count. A row's result is therefore the one it gets alone. The
-    iterates start at ``start`` (default ``e_prev``). Returns (edges,
-    objective, entropy, w2_sq, residual, iterations, converged), each with
-    one entry per row.
+    iterates start at ``start`` (default ``e_prev``).
+
+    Returns (edges, objective, entropy, w2_sq, residual, iterations,
+    converged), each with one entry per row, and the entropy state at the
+    returned edges: (entropy, cell integrals, gradient, Hessian diagonal,
+    Hessian off-diagonal). The state is None unless the solve ended on its
+    convergence test, which has just evaluated it there. Passing it back as
+    ``state`` with the returned edges as ``e_prev`` starts the next step from
+    it instead of evaluating it again; the result is the same bit for bit.
     """
     inv_tau = 1.0 / tau
     lo, hi = lat.domain
+    pot = lat.gamma.potential
     e = _strictly_increasing(_clamp(e_prev if start is None else start, lo, hi))
     if math.isfinite(hi):
         spill = e[:, -1] > hi  # the tie-repair ramp may spill over a wall
@@ -325,13 +343,21 @@ def _native_step(
                 raise RuntimeError("degenerate edges exceed the domain span")
 
     def objective(edges):
-        ent = lat.entropy(edges)
+        iv = pot.cell_integrals(edges)
+        ent = lat.entropy(edges, iv)
         w2s = lat.w2_sq(edges, e_prev)
-        return ent + 0.5 * inv_tau * w2s, ent, w2s
+        return ent + 0.5 * inv_tau * w2s, ent, w2s, iv
 
-    value, ent, w2s = objective(e)
-    if not np.isfinite(value).all():
-        raise RuntimeError("infeasible starting edges for the proximal step")
+    if state is not None and np.array_equal(e, e_prev):
+        # the state holds if the start repair left e_prev as it was; the metric term is 0 there
+        ent, iv, *hess = state
+        w2s = np.zeros(len(e))
+        value = ent + 0.5 * inv_tau * w2s
+    else:
+        value, ent, w2s, iv = objective(e)
+        hess = None
+        if not np.isfinite(value).all():
+            raise RuntimeError("infeasible starting edges for the proximal step")
 
     scale = 1.0 + np.abs(value)
     tol = inner_tol * scale
@@ -340,8 +366,10 @@ def _native_step(
     gap_est = np.full(len(e), np.inf)
     iters = np.zeros(len(e), dtype=int)
     active = np.ones(len(e), dtype=bool)
+    state = None
     for _ in range(max_iters):
-        g_ent, d_ent, off_ent = lat._entropy_grad_hess(e)
+        g_ent, d_ent, off_ent = hess if hess is not None else lat._entropy_grad_hess(e, iv)
+        hess = None
         grad = g_ent + inv_tau * lat.metric_grad(e - e_prev)
         diag = d_ent + inv_tau * lat._m_diag
         off = off_ent + inv_tau * lat._m_off
@@ -359,9 +387,10 @@ def _native_step(
                 off = np.where(pinned[:, :-1] | pinned[:, 1:], 0.0, off)
 
         step = _newton_direction(diag, off, grad)
-        gap_est = np.maximum(0.5 * np.vecdot(-grad, step), 0.0)
+        gap_est = np.maximum(-0.5 * np.vecdot(grad, step), 0.0)
         active &= ~(gap_est <= tol)
         if not active.any():
+            state = (ent, iv, g_ent, d_ent, off_ent)
             break
         iters += active
         # backtracking, each row on its own step length
@@ -372,17 +401,18 @@ def _native_step(
             ok = (cand[:, 1:] > cand[:, :-1]).all(axis=1)
             ok &= searching
             if ok.any():
-                cval, cent, cw2 = objective(cand)
+                cval, cent, cw2, civ = objective(cand)
                 accept = cval < value
                 accept &= ok
                 if accept.all():
-                    e, value, ent, w2s = cand, cval, cent, cw2
+                    e, value, ent, w2s, iv = cand, cval, cent, cw2, civ
                     break
                 if accept.any():
                     e = np.where(accept[:, None], cand, e)
                     value = np.where(accept, cval, value)
                     ent = np.where(accept, cent, ent)
                     w2s = np.where(accept, cw2, w2s)
+                    iv = np.where(accept[:, None], civ, iv)
                     searching &= ~accept
                     if not searching.any():
                         break
@@ -392,26 +422,35 @@ def _native_step(
             if not active.any():
                 break
     converged = gap_est <= max(inner_tol, 1e-10) * scale
-    return e, value, ent, w2s, gap_est, iters, converged
+    return e, value, ent, w2s, gap_est, iters, converged, state
 
 
 def _newton_direction(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Solve the rows' tridiagonal Newton systems (diag, off) x = -grad.
 
-    The (B, n+1) stack is one banded system whose couplings between blocks
-    are zero, so each block's Cholesky factor and solution are the ones it
-    has alone. When a block is not positive definite the rows are solved one
-    at a time, and a row that fails takes the diagonal step.
+    The (B, n+1) stack is one symmetric tridiagonal system whose couplings
+    between blocks are zero, solved by LAPACK ``dptsv`` (the routine scipy's
+    ``solveh_banded`` calls for a two-row band), so each block's factor and
+    solution are the ones it has alone. When a block is not positive
+    definite the rows are solved one at a time, and a row that fails takes
+    the diagonal step.
     """
     rows, size = diag.shape
-    ab = np.zeros((2, rows, size))
-    ab[0, :, 1:] = off
-    np.maximum(diag, 1e-300, out=ab[1])
-    try:
-        return solveh_banded(ab.reshape(2, -1), -grad.ravel(), lower=False).reshape(rows, size)
-    except np.linalg.LinAlgError:
-        if rows == 1:
-            return -grad / np.maximum(diag, 1e-12)
+    # (diagonal, coupling, right-hand side) in one buffer, checked in one pass
+    buf = np.zeros((3, rows, size))
+    np.maximum(diag, 1e-300, out=buf[0])
+    buf[1, :, :-1] = off
+    np.negative(grad, out=buf[2])
+    if not np.isfinite(buf).all():
+        raise ValueError("array must not contain infs or NaNs")
+    d, e, b = buf[0].ravel(), buf[1].ravel()[:-1], buf[2].ravel()
+    *_, x, info = dptsv(d, e, b, overwrite_d=True, overwrite_e=True, overwrite_b=True)
+    if info == 0:
+        return x.reshape(rows, size)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
+    if rows == 1:
+        return -grad / np.maximum(diag, 1e-12)
     return np.concatenate(
         [_newton_direction(diag[i : i + 1], off[i : i + 1], grad[i : i + 1]) for i in range(rows)]
     )
@@ -426,10 +465,10 @@ def _strictly_increasing(e: np.ndarray) -> np.ndarray:
     """
     gap = 1e-12 * np.maximum(1.0, np.abs(e).max(axis=-1, keepdims=True))
     out = np.maximum.accumulate(e, axis=-1)
-    tight = (out[..., 1:] - out[..., :-1] < gap).any(axis=-1)
+    tight = out[..., 1:] - out[..., :-1] < gap
     if not tight.any():
         return out
-    out = np.where(tight[..., None], out + gap * np.arange(out.shape[-1]), out)
+    out = np.where(tight.any(axis=-1, keepdims=True), out + gap * np.arange(out.shape[-1]), out)
     if np.any(out[..., 1:] <= out[..., :-1]):
         raise RuntimeError("could not separate degenerate quantile edges")
     return out
@@ -506,15 +545,16 @@ def _flow_steps(
     This is the one trajectory loop; a single flow is the batch B=1. It
     yields each step's Newton outputs (edges, objective, entropy, w2_sq,
     residual, iterations, converged), each with one entry per row, and
-    keeps nothing itself: a caller holds on to the states it reads. A row
-    that fails to converge raises JkoSolverError with that row's best
-    iterate, naming the step and, when ``labels`` are given, the row.
+    keeps only the entropy state each step hands to the next: a caller
+    holds on to the states it reads. A row that fails to converge raises
+    JkoSolverError with that row's best iterate, naming the step and, when
+    ``labels`` are given, the row.
     """
     if T < cfg.tau:
         raise ValueError("horizon T must be at least one step")
-    e = e0
+    e, state = e0, None
     for k in range(int(math.ceil(T / cfg.tau - 1e-9))):
-        out = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
+        *out, state = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters, state=state)
         e, residual, converged = out[0], out[4], out[6]
         if not converged.all():
             i = int(np.argmin(converged))
@@ -524,7 +564,7 @@ def _flow_steps(
                 best_measure=lat.to_measure(e[i]),
                 residual=float(residual[i]),
             )
-        yield out
+        yield tuple(out)
 
 
 def _flow_end(lat: QuantileLattice, e0: np.ndarray, cfg: JkoConfig, T: float, labels: list[str]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure, dirac_on_grid
+from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure
 from .jko import JkoConfig, QuantileLattice, _flow_end
 
 __all__ = [
@@ -359,12 +359,13 @@ def semigroup_matrix(
         rows = np.eye(n)
         live = np.flatnonzero(gamma.weights > 0)
         lat = QuantileLattice(gamma)
-        starts = np.stack([lat.from_grid(dirac_on_grid(gamma, float(gamma.grid[j]))) for j in live])
+        starts = np.stack([lat.from_weights(rows[j]) for j in live])
         final = _flow_end(lat, starts, cfg, t, [f"start cell {j}" for j in live])
         for j, e in zip(live, final):
-            mu_t = lat.to_measure(e)
-            rows[j] = 0.0
-            rows[j, gamma.locate(mu_t.x)] = mu_t.weights
+            # normalized twice, as a grid measure's weights are
+            w = lat.to_grid_weights(e)
+            w = np.maximum(w / w.sum(), 0.0)
+            rows[j] = w / w.sum()
         return rows
     raise ValueError(f"unknown method {method!r}")
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, logsumexp
 
 from .measures import (
     AffineMaxPotential,
@@ -127,21 +127,24 @@ def mollified_potential(base: ConvexPotential, sigma: float) -> ConvexPotential:
     Finite potentials are convolved with a Gaussian kernel directly (the
     standard increasing-regularity approximation); box potentials convolve
     the density instead, which keeps the result log-concave and covers the
-    +inf walls. The box case uses the closed form of the smoothed
-    indicator.
+    +inf walls. The box density 1_box e^{-V_inner} is convolved in closed
+    form, with V_inner linear between knots (one piece for the bare box).
     """
     samples = 2001
-    if isinstance(base, BoxPotential) and base.inner is None:
+    if isinstance(base, BoxPotential):
         lo, hi = base.lo, base.hi
         span = 8.0 * sigma
         xs = np.linspace(lo - span, hi + span, samples)
-        # log(Phi((hi-x)/sigma) - Phi((lo-x)/sigma)) evaluated stably
-        a = (hi - xs) / sigma
-        b = (lo - xs) / sigma
-        log_top = log_ndtr(a)
-        log_bot = log_ndtr(b)
-        diff = np.minimum(log_bot - log_top, -1e-300)
-        log_dens = log_top + np.log(-np.expm1(diff))
+        if base.inner is None:
+            knots, vals = np.array([lo, hi]), np.zeros(2)
+        else:
+            kinks = base.inner.kinks()
+            knots = np.union1d(np.linspace(lo, hi, 513), kinks[(kinks > lo) & (kinks < hi)])
+            vals = base.inner.value(knots)
+        # in blocks of samples: each block holds (samples/8, pieces) temporaries
+        log_dens = np.concatenate(
+            [_smoothed_log_density(block, knots, vals, sigma) for block in np.array_split(xs, 8)]
+        )
         return tabulated(xs, -log_dens)
     lo, hi = suggested_bounds(base, 50.0)
     xs = np.linspace(lo - 8.0 * sigma, hi + 8.0 * sigma, samples)
@@ -152,6 +155,24 @@ def mollified_potential(base: ConvexPotential, sigma: float) -> ConvexPotential:
         [float(np.dot(kernel, base.value(xx + sigma * k))) for xx in xs]
     )
     return tabulated(xs, vals)
+
+
+def _smoothed_log_density(xs: np.ndarray, knots: np.ndarray, vals: np.ndarray, sigma: float) -> np.ndarray:
+    """log of the density e^{-V}, V linear between knots and +inf outside, convolved with N(0, sigma^2).
+
+    On a piece [y0, y1] with V = v0 + s (y - y0) the convolution at x is
+    exp(-v0 - s (x - y0) + (s sigma)^2 / 2) [Phi((y1 - m)/sigma) - Phi((y0 - m)/sigma)]
+    with m = x - s sigma^2; the pieces are summed in log space.
+    """
+    s = np.diff(vals) / np.diff(knots)
+    x = xs[:, None]
+    m = x - s * sigma * sigma
+    # log(Phi(top) - Phi(bot)) evaluated stably
+    log_top = log_ndtr((knots[1:] - m) / sigma)
+    log_bot = log_ndtr((knots[:-1] - m) / sigma)
+    diff = np.minimum(log_bot - log_top, -1e-300)
+    terms = log_top + np.log(-np.expm1(diff)) - vals[:-1] - s * (x - knots[:-1]) + 0.5 * (s * sigma) ** 2
+    return logsumexp(terms, axis=1)
 
 
 def build_sequence(

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solveh_banded
 from scipy.optimize import minimize
 
 import entroflow as ef
-from entroflow.jko import QuantileLattice, StepInfo, _flow_steps, _native_step
+from entroflow.jko import QuantileLattice, StepInfo, _flow_steps, _native_step, _newton_direction
 from entroflow.transport import w2_knots_to_gaussian
 from conftest import random_grid_measure
 
@@ -84,7 +85,7 @@ class TestStep:
         mu = ef.gaussian_on_grid(gam, 0.8, 0.9)
         e_prev = lat.from_grid(mu)
         tau = 0.05
-        e, value, *_ = (x[0] for x in _native_step(lat, e_prev[None], tau, 1e-13, 120))
+        e, value, *_ = (x[0] for x in _native_step(lat, e_prev[None], tau, 1e-13, 120)[:7])
 
         def objective(z):
             edges = np.cumsum(np.abs(z)) + lat.gamma_edges[0] - abs(z[0])
@@ -110,7 +111,7 @@ class TestStep:
         mu = ef.grid_measure(gam, w)
         e_prev = lat.from_grid(mu)
         tau = 0.1
-        e, value, *_ = (x[0] for x in _native_step(lat, e_prev[None], tau, 1e-13, 200))
+        e, value, *_ = (x[0] for x in _native_step(lat, e_prev[None], tau, 1e-13, 200)[:7])
 
         best = (np.inf, None)
         grid_e = np.linspace(1e-4, 1 - 1e-4, 900)
@@ -135,11 +136,11 @@ class TestStep:
         for _ in range(10):
             jitter = rng.uniform(0.2, 2.0) * np.sort(rng.normal(0, 0.02, len(e_prev)))
             start = np.sort(e_prev + jitter)
-            out = _native_step(lat, e_prev[None], 0.02, 1e-13, 200, start=start[None])
+            out = _native_step(lat, e_prev[None], 0.02, 1e-13, 200, start=start[None])[:7]
             e, *_, converged = (x[0] for x in out)
             assert converged
             outs.append(e)
-        base, *_, converged = (x[0] for x in _native_step(lat, e_prev[None], 0.02, 1e-13, 200))
+        base, *_, converged = (x[0] for x in _native_step(lat, e_prev[None], 0.02, 1e-13, 200)[:7])
         assert converged
         for e in outs:
             assert lat.w2(base, e) < 1e-6
@@ -165,7 +166,7 @@ class TestStep:
             # the one-step flow, run directly through the Newton kernel
             e_prev = lat.from_grid(mu)
             e, value, ent, w2s, residual, iters, converged = (
-                x[0] for x in _native_step(lat, e_prev[None], cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
+                x[0] for x in _native_step(lat, e_prev[None], cfg.tau, cfg.inner_tol, cfg.max_inner_iters)[:7]
             )
             expected = lat.to_measure(e)
             assert np.array_equal(out.x, expected.x)
@@ -216,7 +217,7 @@ class TestBatch:
             assert [StepInfo(*(x[i].item() for x in step[1:])) for step in steps] == traj.step_infos
             # and one Newton step on the stack is the step of each row alone
             e, value, _, _, residual, iters, converged = (
-                x[0] for x in _native_step(lat, e0[None], cfg.tau, 1e-12, 80)
+                x[0] for x in _native_step(lat, e0[None], cfg.tau, 1e-12, 80)[:7]
             )
             assert np.array_equal(e, steps[0][0][i])
             assert (value, residual, iters, converged) == (
@@ -238,7 +239,7 @@ class TestBatch:
         e, _, _, _, residual, _, converged = (
             x[0] for x in _native_step(
                 lat, lat.from_grid(candidates[2])[None], cfg.tau, cfg.inner_tol, cfg.max_inner_iters
-            )
+            )[:7]
         )
         assert not converged
         assert str(err.value) == f"step 0, candidate 2: inner Newton residual {residual:.3e} above tolerance"
@@ -259,6 +260,116 @@ class TestBatch:
         bad = stack.copy()
         bad[1, [5, 6]] = bad[1, [6, 5]]
         assert np.array_equal(lat.entropy(bad) == np.inf, [False, True, False, False])
+
+
+
+CARRY_REFS = {
+    "quadratic": lambda: ef.discretize_reference(ef.quadratic(1.0, 0.2), 60, (-8.0, 8.0)),
+    "quartic": lambda: ef.discretize_reference(ef.quartic(1.0, 0.5), 60, (-4.0, 4.0)),
+    "abs": lambda: ef.discretize_reference(ef.abs_potential(1.0, 0.3), 60, (-40.0, 40.0)),
+    "affine_max": lambda: ef.discretize_reference(
+        ef.affine_max([(-1.0, 0.0), (0.5, 0.2), (2.0, -1.0)]), 60, (-45.0, 25.0)
+    ),
+    "tabulated": BATCH_REFS["tabulated"],
+    "box_abs": lambda: ef.discretize_reference(ef.box(-1.0, 1.5, ef.abs_potential(2.0)), 60, (-1.0, 1.5)),
+}
+
+
+def _entropy_state(lat, e):
+    """The state _native_step hands on, evaluated afresh at the stack e."""
+    iv = lat.gamma.potential.cell_integrals(e)
+    return (lat.entropy(e), iv, *lat._entropy_grad_hess(e, iv))
+
+
+class TestCarriedState:
+    @pytest.mark.parametrize("name", CARRY_REFS)
+    def test_flow_equals_chained_steps(self, name):
+        # the flow hands each step's converged entropy state to the next; steps
+        # chained one at a time carry nothing and must give the same bits
+        gamma = CARRY_REFS[name]()
+        lat = QuantileLattice(gamma)
+        cfg = ef.JkoConfig(tau=0.01)
+        sup = gamma.support_indices()
+        xs = gamma.grid[sup]
+        starts = [
+            lat.gamma_member(),
+            lat.from_grid(ef.dirac_on_grid(gamma, float(xs[1]))),
+            lat.from_grid(ef.gaussian_on_grid(gamma, float(xs[len(xs) // 3]), 0.1 * float(xs[-1] - xs[0]))),
+        ]
+        offered = 0
+        for stack in [e[None] for e in starts] + [np.stack(starts)]:
+            e = stack
+            for out in _flow_steps(lat, stack, cfg, 0.1):
+                *alone, state = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
+                assert len(out) == 7
+                assert all(np.array_equal(a, b) for a, b in zip(out, alone))
+                offered += state is not None
+                e = alone[0]
+        assert offered > 0  # the flows did start steps from a carried state
+
+    def test_state_is_the_fresh_evaluation(self, gaussian_ref_coarse):
+        lat = QuantileLattice(gaussian_ref_coarse)
+        e = lat.from_grid(ef.gaussian_on_grid(gaussian_ref_coarse, 1.0, 0.5))[None]
+        *out, state = _native_step(lat, e, 0.01, 1e-12, 80)
+        assert state is not None
+        assert all(np.array_equal(a, b) for a, b in zip(state, _entropy_state(lat, out[0])))
+        # a solve cut short by its iteration cap hands on nothing
+        assert _native_step(lat, e, 0.01, 1e-16, 1)[-1] is None
+
+    def test_state_off_the_start_is_not_used(self, gaussian_ref_coarse):
+        lat = QuantileLattice(gaussian_ref_coarse)
+        e_prev = lat.from_grid(ef.gaussian_on_grid(gaussian_ref_coarse, 1.0, 0.5))[None]
+        # the tie repair moves a start with a collapsed cell
+        tight = e_prev.copy()
+        tight[0, 60] = tight[0, 59] + 1e-13
+        start = e_prev + 1e-3 * np.sin(np.arange(e_prev.shape[1]))
+        for e, kwargs in ((tight, {}), (e_prev, {"start": start})):
+            fresh = _native_step(lat, e, 0.01, 1e-12, 80, **kwargs)
+            given = _native_step(lat, e, 0.01, 1e-12, 80, state=_entropy_state(lat, e), **kwargs)
+            assert all(np.array_equal(a, b) for a, b in zip(fresh[:7], given[:7]))
+
+
+def _banded_reference(diag, off, grad):
+    """The stack's Newton systems solved as one banded system by solveh_banded."""
+    rows, size = diag.shape
+    ab = np.zeros((2, rows, size))
+    ab[0, :, 1:] = off
+    ab[1] = np.maximum(diag, 1e-300)
+    return solveh_banded(ab.reshape(2, -1), -grad.ravel()).reshape(rows, size)
+
+
+class TestNewtonDirection:
+    @pytest.mark.parametrize("rows,size", [(1, 61), (1, 401), (7, 61), (60, 61)])
+    def test_matches_solveh_banded(self, rng, rows, size):
+        diag = rng.uniform(1.0, 4.0, (rows, size)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
+        off = rng.uniform(-0.45, 0.45, (rows, size - 1)) * np.sqrt(diag[:, 1:] * diag[:, :-1])
+        grad = rng.normal(size=(rows, size))
+        x = _newton_direction(diag, off, grad)
+        assert np.array_equal(x, _banded_reference(diag, off, grad))
+        # each block is the system it is alone
+        for i in range(rows):
+            assert np.array_equal(x[i], _banded_reference(diag[i : i + 1], off[i : i + 1], grad[i : i + 1])[0])
+
+    def test_non_positive_definite_block_falls_back_by_rows(self, rng):
+        diag = rng.uniform(2.0, 3.0, (3, 40))
+        off = rng.uniform(-0.5, 0.5, (3, 39))
+        grad = rng.normal(size=(3, 40))
+        diag[1, 7] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _banded_reference(diag, off, grad)
+        x = _newton_direction(diag, off, grad)
+        for i in (0, 2):
+            assert np.array_equal(x[i], _banded_reference(diag[i : i + 1], off[i : i + 1], grad[i : i + 1])[0])
+        # the failing row takes the diagonal step
+        assert np.array_equal(x[1], -grad[1] / np.maximum(diag[1], 1e-12))
+
+    @pytest.mark.parametrize("where", ["grad", "diag", "off"])
+    def test_non_finite_input_raises(self, rng, where):
+        arrays = {"diag": rng.uniform(2.0, 3.0, (2, 20)), "off": rng.uniform(-0.5, 0.5, (2, 19)),
+                  "grad": rng.normal(size=(2, 20))}
+        arrays[where][1, 3] = np.nan
+        with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+            _newton_direction(arrays["diag"], arrays["off"], arrays["grad"])
 
 
 class TestTrajectory:

@@ -236,7 +236,7 @@ class TestSemigroup:
         lat = QuantileLattice(gamma)
         for j in np.flatnonzero(gamma.weights > 0):
             e0 = lat.from_grid(ef.dirac_on_grid(gamma, float(gamma.grid[j])))
-            out = _native_step(lat, e0[None], cfg.tau, 1e-16, 2)
+            out = _native_step(lat, e0[None], cfg.tau, 1e-16, 2)[:7]
             e, _, _, _, residual, _, converged = (x[0] for x in out)
             if not converged:
                 break

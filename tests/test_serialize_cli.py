@@ -278,6 +278,8 @@ CONFIG_PROBES = [
     ("sde", {"oracle": {"dt": 0.01, "paths": -5}}, "oracle.paths"),
     ("stability", {"sequence": {"kind": "variance_perturbed", "ns": ["a"]}}, "sequence.ns"),
     ("stability", {"grid": {"n": 1}}, "grid.n"),
+    # rejected by the library once the output directory exists (as an unrepresentable initial is, below)
+    ("flow", {"grid": {"n": 60, "bounds": [-1, 1]}}, "grid"),
 ]
 PROBE_IDS = [f"{c}-{f}" for c, _, f in CONFIG_PROBES]
 # a grid.n of the right type but too small, beside the wrong-type flow probe above
@@ -353,11 +355,11 @@ class TestCliContract:
         cfg = {**PROBE_BASE, "initial": {"kind": "gaussian", "mean": mean, "std": std}}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert cli_main(["flow", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 2
+            assert cli_main(["flow", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o" / "run")]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config field 'initial': ")
         assert "no representable mass" in lines[0]
-        assert not list((tmp_path / "o").glob("*"))  # nothing written
+        assert not (tmp_path / "o").exists()  # nor the parent the run created
 
     def test_affine_envelope_stability_passes(self, tmp_path):
         # every member flow and the limit flow start from the same uniform law

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,34 @@ class TestConstructions:
         vals = np.exp(-pot.value(limit.grid))
         w = vals / vals.sum()
         assert 0.5 * np.abs(w - limit.weights).sum() < 1e-2
+
+    @pytest.mark.parametrize("inner", [ef.abs_potential(2.0), ef.quadratic(2.0, 0.3)], ids=["abs", "quadratic"])
+    def test_mollified_box_with_inner_is_smoothed_density(self, inner):
+        # -log of the box density e^{-V_inner} convolved with N(0, sigma^2), by direct quadrature
+        base, sigma = ef.box(-1.0, 1.5, inner), 0.05
+        pot = st.mollified_potential(base, sigma)
+        assert pot.finite_interval() == pytest.approx((-1.0 - 8 * sigma, 1.5 + 8 * sigma))
+        xs = pot.xs[::50]
+        ys = np.linspace(-1.0, 1.5, 100_001)
+        dens = np.exp(-inner.value(ys))
+        direct = np.array([np.trapezoid(dens * norm.pdf(x, ys, sigma), ys) for x in xs])
+        shift = pot.value(xs) + np.log(direct)  # a constant: the normalization is free
+        assert np.ptp(shift) < 1e-5
+
+    def test_mollified_box_with_inner_ladder_runs(self, tmp_path):
+        # the member supports now cover the box, so a start inside it is feasible
+        from entroflow.cli import main as cli_main
+
+        cfg = {
+            "potential": {"kind": "box", "lo": -1, "hi": 1.5, "inner": {"kind": "abs", "a": 2}},
+            "sequence": {"kind": "mollified"},
+            "x": -0.5,
+            "jko": {"tau": 0.01},
+            "horizon": 0.25,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["stability", str(path), "--out", str(tmp_path / "o")]) in (0, 1)
 
     def test_members_log_concave(self, variance_seq, box_seq):
         for seq in (variance_seq, box_seq):
