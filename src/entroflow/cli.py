@@ -299,9 +299,9 @@ def _cmd_sde(c, outdir, seed, tol_scale):
     gamma = _reference(c)
     dt, n_paths = c["oracle.dt"], c["oracle.paths"]
     sample = sde_simulate(gamma.potential, c["x"], c["horizon"], dt, n_paths, seed)
-    # numpy scalars rather than one list of all floats keep the peak memory low
-    rows = zip(sample.terminal_points)
-    atomic_write_text(outdir / "sde_terminal.csv", _csv_text(["terminal"], rows))
+    atomic_write_text(
+        outdir / "sde_terminal.csv", _csv_text(["terminal"], sample.terminal_points[:, None])
+    )
     report = CheckReport()
     lo, hi = gamma.potential.finite_interval()
     if math.isfinite(lo) and math.isfinite(hi):

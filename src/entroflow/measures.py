@@ -296,6 +296,11 @@ class BoxPotential(ConvexPotential):
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError("box potential needs lo < hi")
+        lo, hi = self.finite_interval()
+        if not lo < hi:
+            raise ValueError(
+                f"box [{self.lo}, {self.hi}] does not overlap its inner potential's domain"
+            )
 
     def _inner_value(self, x):
         if self.inner is None:
@@ -317,7 +322,10 @@ class BoxPotential(ConvexPotential):
         return np.where((x < self.lo) | (x > self.hi), np.nan, d)
 
     def finite_interval(self):
-        return (self.lo, self.hi)
+        if self.inner is None:
+            return (self.lo, self.hi)
+        lo, hi = self.inner.finite_interval()
+        return (max(self.lo, lo), min(self.hi, hi))
 
     def kinks(self):
         if self.inner is None:
@@ -328,15 +336,15 @@ class BoxPotential(ConvexPotential):
     def argmin(self):
         if self.inner is None:
             return 0.5 * (self.lo + self.hi)
-        m = self.inner.argmin()
-        return min(max(m, self.lo), self.hi)
+        lo, hi = self.finite_interval()
+        return min(max(self.inner.argmin(), lo), hi)
 
     def is_smooth(self):
         return self.inner is None or len(self.kinks()) == 0
 
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)
-        xc = np.clip(x, self.lo, self.hi)
+        xc = np.clip(x, *self.finite_interval())
         if self.inner is None:
             return np.zeros_like(xc)
         return self.inner.antiderivative(xc)

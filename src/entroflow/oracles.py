@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 
 from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure
 from .jko import JkoConfig, QuantileLattice, _flow_end
@@ -91,15 +92,15 @@ def _fp_generator(potential: ConvexPotential, grid: np.ndarray, h: float):
 def _theta_stepper(lower, diag, upper, dt: float, theta: float):
     """Stepper of the theta scheme (I - theta dt L) u' = (I + (1 - theta) dt L) u.
 
-    L is the tridiagonal generator given by its three bands. The banded
-    matrix is built once; the returned function takes one step of a
-    right-hand side of shape (n,) or (n, B).
+    L is the tridiagonal generator given by its three bands. The implicit
+    bands are built once; the returned function takes one step of a
+    right-hand side of shape (n,) or (n, B) through LAPACK ``dgtsv``, the
+    routine scipy's ``solve_banded`` calls for a (1, 1) band.
     """
     imp = theta * dt
-    ab = np.zeros((3, len(diag)))
-    ab[0, 1:] = -imp * upper
-    ab[1] = 1.0 - imp * diag
-    ab[2, :-1] = -imp * lower
+    dl = -imp * lower
+    d = 1.0 - imp * diag
+    du = -imp * upper
     ex = (1.0 - theta) * dt
     ex_upper = ex * upper
     ex_lower = ex * lower
@@ -109,7 +110,15 @@ def _theta_stepper(lower, diag, upper, dt: float, theta: float):
         out = q + ex * (diag[col] * q)
         out[:-1] += ex_upper[col] * q[1:]
         out[1:] += ex_lower[col] * q[:-1]
-        return solve_banded((1, 1), ab, out)
+        if not np.isfinite(out).all():
+            raise ValueError("array must not contain infs or NaNs")
+        # dgtsv factors copies of the bands, so they serve every step
+        *_, x, info = dgtsv(dl, d, du, out, overwrite_b=True)
+        if info > 0:
+            raise LinAlgError("singular matrix")
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dgtsv")
+        return x
 
     return step
 

@@ -45,11 +45,31 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+CSV_BLOCK = 4096  # array values formatted per block
+
+
 def _csv_text(header: list[str], rows) -> str:
-    out = []
-    out.append(",".join(header))
-    for row in rows:
-        out.append(",".join([f"{v:.17g}" if isinstance(v, float) else str(v) for v in row]))
+    """CSV text: floats as %.17g (round-trip exact), anything else with str.
+
+    ``rows`` is an iterable of tuples, each column of one type, whose row
+    format is read off the first row; or a 2-D float array, formatted in
+    blocks of about CSV_BLOCK values so no Python list of all of them is held.
+    """
+    out = [",".join(header)]
+    if isinstance(rows, np.ndarray):
+        fmt = ",".join(["%.17g"] * rows.shape[1])
+        step = max(1, CSV_BLOCK // rows.shape[1])
+        for start in range(0, len(rows), step):
+            block = rows[start : start + step]
+            # one format call per block: the row format repeated once per row
+            out.append("\n".join([fmt] * len(block)) % tuple(block.ravel().tolist()))
+    else:
+        rows = iter(rows)
+        first = next(rows, None)
+        if first is not None:
+            fmt = ",".join(["%.17g" if isinstance(v, float) else "%s" for v in first])
+            out.append(fmt % tuple(first))
+            out.extend([fmt % tuple(row) for row in rows])
     out.append("")  # closing newline, without copying the joined text once more
     return "\n".join(out)
 

@@ -132,7 +132,7 @@ def mollified_potential(base: ConvexPotential, sigma: float) -> ConvexPotential:
     """
     samples = 2001
     if isinstance(base, BoxPotential):
-        lo, hi = base.lo, base.hi
+        lo, hi = base.finite_interval()
         span = 8.0 * sigma
         xs = np.linspace(lo - span, hi + span, samples)
         if base.inner is None:

@@ -2,7 +2,7 @@
 
 Three solver tiers: the exact monotone quantile coupling in one dimension,
 an exact linear program for small instances in any supported dimension, and
-log-domain Sinkhorn scaling for large grids. Displacement interpolation and
+stabilized Sinkhorn scaling for large grids. Displacement interpolation and
 cyclical-monotonicity diagnostics are built on top.
 """
 from __future__ import annotations
@@ -40,6 +40,7 @@ MARGINAL_TOL = 1e-9
 LP_SIZE_GUARD = 10_000_000
 SINKHORN_MAX_ITERS = 3000  # per regularization level
 SINKHORN_TOL = 1e-7  # marginal violation that ends a level
+SINKHORN_ABSORB = 1e3  # scaling beyond which it moves into the potentials
 
 
 # ---------------------------------------------------------------------------
@@ -276,22 +277,75 @@ def w2_lp(
 # ---------------------------------------------------------------------------
 # Sinkhorn scaling
 # ---------------------------------------------------------------------------
-def _sinkhorn_potentials(log_a, log_b, cost, eps, f, g):
+def _gibbs_kernel(log_a, log_b, cost, eps, f, g):
+    """K_ij = a_i b_j exp((f_i + g_j - C_ij) / eps), built in one buffer."""
+    k = f[:, None] + g[None, :] - cost
+    k /= eps
+    k += log_a[:, None]
+    k += log_b[None, :]
+    np.exp(k, out=k)
+    # subnormal entries slow every product with K and carry no mass
+    k[k < np.finfo(float).tiny] = 0.0
+    return k
+
+
+def _c_transform(g, cost, log_b, eps):
+    """f_i = -eps log sum_j b_j exp((g_j - C_ij) / eps), in the log domain.
+
+    The f that puts row marginal a on the plan of (f, g): every row of the
+    Gibbs kernel gets an entry of at least a_i / m, so none underflows.
+    """
+    return -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
+
+
+def _in_range(s) -> bool:
+    """True when every scaling lies in [1/SINKHORN_ABSORB, SINKHORN_ABSORB] (NaN does not)."""
+    return bool(s.max() <= SINKHORN_ABSORB and s.min() >= 1.0 / SINKHORN_ABSORB)
+
+
+def _sinkhorn_level(a, b, cost, eps, g):
+    """One regularization level of stabilized scaling (Schmitzer 2019).
+
+    The plan is u_i K_ij v_j with K the Gibbs kernel of potentials (f, g).
+    The level opens with f the c-transform of the warm-start g. The
+    scalings then follow v = b / (K^T u), u = a / (K v), matrix-vector
+    products only. A scaling that leaves [1/A, A] for A = SINKHORN_ABSORB
+    (or that a kernel row or column underflowed to make infinite) is
+    replaced by the log-domain c-transform it stands for, the other
+    scaling is absorbed into its potential, and K is rebuilt. Iteration k
+    ends with the k-th v; every 5th tests the row marginals. Returns (g,
+    plan, iterations, converged).
+    """
+    log_a, log_b = np.log(a), np.log(b)
+    f = _c_transform(g, cost, log_b, eps)
+    kernel = _gibbs_kernel(log_a, log_b, cost, eps, f, g)
+    u, v = np.ones(len(a)), np.ones(len(b))
     it = 0
-    while it < SINKHORN_MAX_ITERS:
-        f = -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
-        g = -eps * logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
-        it += 1
-        if it % 5 == 0 or it == SINKHORN_MAX_ITERS:
-            log_p = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
-            p = np.exp(log_p)
-            viol = max(
-                np.abs(p.sum(axis=1) - np.exp(log_a)).max(),
-                np.abs(p.sum(axis=0) - np.exp(log_b)).max(),
-            )
-            if viol < SINKHORN_TOL:
-                return f, g, p, viol, it, True
-    return f, g, p, viol, it, False
+    # an underflowed kernel row or column makes a scaling infinite; it is then replaced
+    with np.errstate(divide="ignore", over="ignore"):
+        while True:
+            np.divide(b, u @ kernel, out=v)
+            it += 1
+            if not _in_range(v):
+                f = f + eps * np.log(u)
+                g = _c_transform(f, cost.T, log_a, eps)
+                kernel = _gibbs_kernel(log_a, log_b, cost, eps, f, g)
+                u[:] = v[:] = 1.0
+            kv = kernel @ v
+            if it % 5 == 0 or it == SINKHORN_MAX_ITERS:
+                ok = bool(np.abs(u * kv - a).max() < SINKHORN_TOL)
+                if ok or it == SINKHORN_MAX_ITERS:
+                    break
+            np.divide(a, kv, out=u)
+            if not _in_range(u):
+                g = g + eps * np.log(v)
+                f = _c_transform(g, cost, log_b, eps)
+                kernel = _gibbs_kernel(log_a, log_b, cost, eps, f, g)
+                u[:] = v[:] = 1.0
+    g = g + eps * np.log(v)
+    kernel *= u[:, None]
+    kernel *= v[None, :]
+    return g, kernel, it, ok
 
 
 def _round_to_marginals(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -319,7 +373,7 @@ def w2_sinkhorn(
     epsilon: float,
     debias: bool = False,
 ) -> SinkhornResult:
-    """Entropically regularized transport with log-domain scaling.
+    """Entropically regularized transport by stabilized kernel-domain scaling.
 
     The regularization is continued geometrically (factor 2) from a coarse
     level down to ``epsilon``, warm-starting the potentials; the converged
@@ -334,16 +388,14 @@ def w2_sinkhorn(
     cost = _cost_matrix(mu.support, nu.support, None)
 
     def solve(c, wa, wb):
-        log_a, log_b = np.log(wa), np.log(wb)
         scale = max(float(np.mean(c)), epsilon)
         ladder = [epsilon]
         while ladder[-1] * 2.0 < 0.2 * scale:
             ladder.append(ladder[-1] * 2.0)
-        f = np.zeros(len(wa))
         g = np.zeros(len(wb))
         total_it = 0
         for eps in reversed(ladder):
-            f, g, p, _, it, ok = _sinkhorn_potentials(log_a, log_b, c, eps, f, g)
+            g, p, it, ok = _sinkhorn_level(wa, wb, c, eps, g)
             total_it += it
         p = _round_to_marginals(p, wa, wb)
         viol = max(

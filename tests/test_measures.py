@@ -83,6 +83,23 @@ class TestPotentialCatalog:
         with pytest.raises(ValueError):
             ef.discretize_reference(ef.box(10.0, 11.0), 100, (0.0, 1.0))
 
+    def test_box_domain_meets_inner_domain(self):
+        inner = ef.box(-0.5, 1.0)
+        pot = ef.box(-1.0, 1.5, inner)
+        assert pot.finite_interval() == (-0.5, 1.0)
+        assert ef.box(-1.0, 1.5, ef.box(1.0, 4.0, ef.quadratic(1.0, 3.0))).argmin() == 1.5
+        xs = np.array([-2.0, -0.7, 0.2, 1.2, 3.0])
+        assert np.array_equal(pot.antiderivative(xs), np.zeros(5))
+        tab = ef.tabulated(np.linspace(0.0, 2.0, 21), np.linspace(0.0, 2.0, 21) ** 2)
+        assert np.array_equal(
+            ef.box(-1.0, 1.5, tab).antiderivative(xs), tab.antiderivative(np.clip(xs, 0.0, 1.5))
+        )
+        gam = ef.discretize_reference(pot, 100, pot.finite_interval())
+        assert np.isfinite(pot.cell_integrals(np.linspace(-0.5, 1.0, 101))).all()
+        assert abs(gam.weights.sum() - 1.0) < 1e-12
+        with pytest.raises(ValueError, match="inner"):
+            ef.box(-1.0, 0.0, ef.box(0.5, 1.0))
+
     def test_antiderivatives_match_quadrature(self):
         pots = [
             ef.quadratic(1.3, 0.4),

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.stats import norm
 
 import entroflow as ef
@@ -85,6 +86,43 @@ class TestFpSolve:
             gaps.append(w2_quantile_knots((lat.levels, traj.edges[-1]), fp_knots))
         gaps = np.array(gaps)
         assert np.all(gaps[:-1] >= 2.0 * gaps[1:]), gaps
+
+
+class TestThetaStepper:
+    """The stepper's direct dgtsv call against scipy's solve_banded."""
+
+    @staticmethod
+    def _banded_step(lower, diag, upper, dt, theta, q):
+        imp, ex = theta * dt, (1.0 - theta) * dt
+        ab = np.zeros((3, len(diag)))
+        ab[0, 1:] = -imp * upper
+        ab[1] = 1.0 - imp * diag
+        ab[2, :-1] = -imp * lower
+        col = (slice(None),) + (None,) * (q.ndim - 1)
+        rhs = q + ex * (diag[col] * q)
+        rhs[:-1] += (ex * upper)[col] * q[1:]
+        rhs[1:] += (ex * lower)[col] * q[:-1]
+        return solve_banded((1, 1), ab, rhs)
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(200,), (200, 7)])
+    def test_equals_solve_banded(self, gaussian_ref, theta, shape):
+        grid = np.linspace(-4.0, 4.0, shape[0])
+        bands = orc._fp_generator(gaussian_ref.potential, grid, grid[1] - grid[0])
+        q = np.random.default_rng(3).dirichlet(np.ones(shape[0]), size=shape[1:]).T.reshape(shape)
+        step = orc._theta_stepper(*bands, 1e-3, theta)
+        got = step(q)
+        assert np.array_equal(got, self._banded_step(*bands, 1e-3, theta, q))
+        # a step's output fed back in (a Fortran-ordered array for (n, B))
+        assert np.array_equal(step(got), self._banded_step(*bands, 1e-3, theta, got))
+
+    def test_nan_raises(self, gaussian_ref):
+        grid = np.linspace(-4.0, 4.0, 50)
+        step = orc._theta_stepper(*orc._fp_generator(gaussian_ref.potential, grid, grid[1] - grid[0]), 1e-3, 0.5)
+        q = np.full(50, 0.02)
+        q[10] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            step(q)
 
 
 class TestClosedForms:

@@ -66,6 +66,22 @@ class TestSerialization:
         masses = [float(line.split(",")[2]) for line in lines[1:]]
         assert sum(masses) == pytest.approx(1.0, abs=1e-12)
 
+    def test_csv_text_matches_fstring_reference(self, rng):
+        def reference(header, rows):
+            lines = [",".join(header)]
+            lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row) for row in rows]
+            return "\n".join(lines) + "\n"
+
+        special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 0.1, 1e22]
+        floats = np.concatenate([special, rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, size=500)])
+        rows = [(float(x), int(i), f"n{i}", np.float64(x)) for i, x in enumerate(floats)]
+        header = ["x", "i", "s", "np"]
+        assert ser._csv_text(header, rows) == reference(header, rows)
+        assert ser._csv_text(header, []) == reference(header, [])
+        # a float array is formatted in blocks, also across the block boundary
+        arr = np.concatenate([floats, rng.normal(size=2 * ser.CSV_BLOCK + 1)]).reshape(-1, 2)
+        assert ser._csv_text(["a", "b"], arr) == reference(["a", "b"], arr.tolist())
+
     def test_trajectory_csv(self, tmp_path, gaussian_ref_coarse):
         traj = ef.jko_trajectory(
             gaussian_ref_coarse,
@@ -273,6 +289,11 @@ CONFIG_PROBES = [
         {"potential": {"kind": "box", "lo": 0.0, "hi": 1.0, "inner": {"kind": "quadratic", "a": "2"}}},
         "potential.inner.a",
     ),
+    (
+        "flow",
+        {"potential": {"kind": "box", "lo": -1.0, "hi": 0.0, "inner": {"kind": "box", "lo": 0.5, "hi": 1.0}}},
+        "potential",
+    ),
     ("flow", {"oracle": {"seed": "x"}}, "oracle.seed"),
     ("sde", {"oracle": {"dt": 0.01, "paths": 0}}, "oracle.paths"),
     ("sde", {"oracle": {"dt": 0.01, "paths": -5}}, "oracle.paths"),
@@ -303,6 +324,17 @@ class TestCliContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config field '{field}': ")
         assert not (tmp_path / "o").exists()  # rejected before any work started
+
+    def test_box_with_partly_infinite_inner_runs(self, tmp_path):
+        # the inner box cuts the outer one down to [-0.5, 1]; the lattice must stay inside it
+        cfg = {
+            "potential": {"kind": "box", "lo": -1, "hi": 1.5, "inner": {"kind": "box", "lo": -0.5, "hi": 1.0}},
+            "grid": {"n": 100},
+            "jko": {"tau": 0.01},
+            "initial": {"kind": "dirac", "x": 0.0},
+            "horizon": 0.25,
+        }
+        assert cli_main(["flow", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) in (0, 1)
 
     def test_seed_override_checked(self, tmp_path, capsys):
         assert cli_main(["check-all", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2

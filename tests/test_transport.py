@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 import entroflow as ef
+import entroflow.transport as tr
 from entroflow.transport import (
     atomic_quantile_knots,
     histogram_quantile_knots,
@@ -120,6 +123,92 @@ class TestSinkhorn:
         a = random_atomic(rng, n=60)
         res = ef.w2_sinkhorn(a, a, epsilon=1e-2, debias=True)
         assert res.distance_estimate == pytest.approx(0.0, abs=1e-8)
+
+
+def _log_domain_level(a, b, cost, eps, g):
+    """Log-domain Sinkhorn level: the loop the kernel-domain scaling replaced."""
+    log_a, log_b = np.log(a), np.log(b)
+    it = 0
+    while it < tr.SINKHORN_MAX_ITERS:
+        f = -eps * logsumexp((g[None, :] - cost) / eps + log_b[None, :], axis=1)
+        g = -eps * logsumexp((f[:, None] - cost) / eps + log_a[:, None], axis=0)
+        it += 1
+        if it % 5 == 0 or it == tr.SINKHORN_MAX_ITERS:
+            log_p = (f[:, None] + g[None, :] - cost) / eps + log_a[:, None] + log_b[None, :]
+            p = np.exp(log_p)
+            viol = max(
+                np.abs(p.sum(axis=1) - np.exp(log_a)).max(),
+                np.abs(p.sum(axis=0) - np.exp(log_b)).max(),
+            )
+            if viol < tr.SINKHORN_TOL:
+                return g, p, it, True
+    return g, p, it, False
+
+
+def _sinkhorn_pair(name):
+    if name == "pair60":
+        rng = np.random.default_rng(7)
+        return random_atomic(rng, n=60), random_atomic(rng, n=60, shift=0.5), 0.05
+    # far outlier: one target atom at 40, so exp(-C/eps) spans far beyond float range
+    rng = np.random.default_rng(0)
+    a = ef.DiscreteMeasure.from_atoms(rng.normal(size=12), rng.dirichlet(np.ones(12)))
+    b = ef.DiscreteMeasure.from_atoms(
+        np.concatenate([rng.normal(size=11), [40.0]]), rng.dirichlet(np.ones(12))
+    )
+    return a, b, 1e-3
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(tr, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(tr, name, counted)
+    return calls
+
+
+class TestKernelDomainSinkhorn:
+    @pytest.mark.parametrize("name", ["pair60", "far_outlier"])
+    def test_matches_log_domain_reference(self, name, monkeypatch):
+        a, b, eps = _sinkhorn_pair(name)
+        builds = _count_calls(monkeypatch, "_gibbs_kernel")
+        levels = _count_calls(monkeypatch, "_sinkhorn_level")
+        res = ef.w2_sinkhorn(a, b, epsilon=eps)
+        # more kernel builds than levels: the scalings were absorbed at least once
+        assert len(builds) > len(levels)
+
+        monkeypatch.setattr(tr, "_sinkhorn_level", _log_domain_level)
+        ref = ef.w2_sinkhorn(a, b, epsilon=eps)
+        assert res.iterations == ref.iterations
+        assert res.converged == ref.converged
+        assert abs(res.distance_estimate - ref.distance_estimate) <= 1e-9
+        plan = res.coupling.dense(a.n, b.n)
+        assert np.isfinite(plan).all()
+        assert res.marginal_violation <= 1e-9
+        assert np.abs(plan.sum(axis=1) - a.weights).max() <= 1e-9
+        assert np.abs(plan.sum(axis=0) - b.weights).max() <= 1e-9
+
+
+    @pytest.mark.parametrize("column,offset", [(30, -50.0), (0, 50.0)])
+    def test_underflowed_scalings_recover(self, column, offset):
+        # a warm start far off the optimum underflows whole kernel columns
+        # (then rows), which makes scalings infinite; the level must replace
+        # them and still follow the log-domain iterates
+        a, b, eps = _sinkhorn_pair("pair60")
+        cost = (a.x[:, None] - b.x[None, :]) ** 2
+        g0 = np.zeros(b.n)
+        g0[column] = offset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, plan, it, ok = tr._sinkhorn_level(a.weights, b.weights, cost, eps, g0)
+        g_ref, plan_ref, it_ref, ok_ref = _log_domain_level(a.weights, b.weights, cost, eps, g0)
+        assert (it, ok) == (it_ref, ok_ref)
+        assert np.isfinite(plan).all()
+        assert np.abs(g - g_ref).max() <= 1e-9
+        assert np.abs(plan - plan_ref).max() <= 1e-12
 
 
 class TestMetricAxioms:
