@@ -285,7 +285,8 @@ def integration_by_parts_check(
     Both sides are integrated by composite Simpson on segments aligned with
     the potential's kinks; the derivative defaults to fourth-order central
     differences of u when not supplied. The density part of the measure
-    uses the analytic U' e^{-U}.
+    uses the analytic U' e^{-U}, with each segment's own one-sided U' at
+    its end nodes.
     """
     if not callable(u):
         raise ValueError("u must be callable on coordinates")
@@ -303,13 +304,17 @@ def integration_by_parts_check(
     else:
         du_fn = du
 
+    def slope(x, b):
+        # the segment's own one-sided slope: its end nodes sit on kinks
+        return np.where(x < b, potential.derivative(x, "right"), potential.derivative(x, "left"))
+
     lhs = 0.0
     rhs = 0.0
     for i in range(len(spans)):
         a, b = float(bounds[i]), float(bounds[i + 1])
         lhs += _simpson(lambda x: du_fn(x) * np.exp(-potential.value(x)), a, b, int(per[i]))
         rhs += _simpson(
-            lambda x: u(x) * potential.drift(x) * np.exp(-potential.value(x)), a, b, int(per[i])
+            lambda x: u(x) * slope(x, b) * np.exp(-potential.value(x)), a, b, int(per[i])
         )
     dom_lo, dom_hi = potential.finite_interval()
     if math.isfinite(dom_lo):

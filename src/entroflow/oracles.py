@@ -346,20 +346,22 @@ def semigroup_matrix(
     """Row-stochastic matrix of transition weights between grid cells.
 
     Row j holds the law at time t started from cell j. ``method="fp"``
-    propagates all rows at once with the conservative finite-difference
-    scheme; ``method="jko"`` runs the proximal flows of all rows as one
-    batch on one quantile lattice.
+    takes the k-step Crank-Nicolson semigroup of the conservative
+    finite-difference scheme as the k-th power of its one-step matrix,
+    computed by repeated squaring; ``method="jko"`` runs the proximal flows
+    of all rows as one batch on one quantile lattice.
     """
     n = gamma.n
     if n > 400:
         raise ValueError("semigroup matrices are limited to 400 cells")
     if method == "fp":
+        if t < 0:
+            raise ValueError(f"t must be nonnegative, got {t}")
         dt = dt if dt is not None else max(t / 400.0, 1e-4)
         lower, diag, upper = _fp_generator(gamma.potential, gamma.grid, gamma.cell_width)
-        step = _theta_stepper(lower, diag, upper, dt, 0.5)
-        u = np.eye(n)
-        for _ in range(int(math.ceil(t / dt - 1e-9))):
-            u = step(u)
+        # column j of the one-step matrix is the step of cell j
+        m = _theta_stepper(lower, diag, upper, dt, 0.5)(np.eye(n))
+        u = np.linalg.matrix_power(m, int(math.ceil(t / dt - 1e-9)))
         return np.clip(u.T, 0.0, None) / np.clip(u.T, 0.0, None).sum(axis=1, keepdims=True)
     if method == "jko":
         if cfg is None:

@@ -167,6 +167,24 @@ class TestIntegrationByParts:
         assert res.gap <= 1e-6 * max(1.0, abs(res.lhs), abs(res.rhs))
 
 
+    @pytest.mark.parametrize(
+        "potential",
+        [
+            ef.quadratic(1.0),
+            ef.quartic(1.0, 0.5),
+            ef.abs_potential(2.0),
+            ef.affine_max([[-3.0, 0.0], [1.5, 0.0], [6.0, -3.0]]),
+            ef.tabulated(np.linspace(-3.0, 3.0, 41), 0.5 * np.linspace(-3.0, 3.0, 41) ** 2),
+            ef.box(0.0, 1.0),
+            ef.box(-1.0, 1.5, ef.abs_potential(2.0)),
+        ],
+        ids=["quadratic", "quartic", "abs", "affine_max", "tabulated", "box", "box-abs"],
+    )
+    def test_catalog_gap(self, potential):
+        # Simpson's end nodes sit on kinks, where each segment needs its own one-sided U'
+        res = dr.integration_by_parts_check(potential, lambda x: np.sin(np.asarray(x) + 0.3))
+        assert res.gap < 1e-6
+
 class TestBoundaryConvergence:
     def test_affine_envelope_sequence(self):
         base = ef.quadratic(1.0)

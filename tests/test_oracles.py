@@ -252,6 +252,48 @@ class TestSemigroup:
                 row[j] = 1.0
             assert np.abs(p[j] - row).max() <= 1e-12
 
+    @staticmethod
+    def _fp_step_loop(gamma, t, dt):
+        # the k-step Crank-Nicolson loop the fp semigroup is the matrix power of
+        lower, diag, upper = orc._fp_generator(gamma.potential, gamma.grid, gamma.cell_width)
+        step = orc._theta_stepper(lower, diag, upper, dt, 0.5)
+        u = np.eye(gamma.n)
+        for _ in range(int(math.ceil(t / dt - 1e-9))):
+            u = step(u)
+        return np.clip(u.T, 0.0, None) / np.clip(u.T, 0.0, None).sum(axis=1, keepdims=True)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 37, 400])
+    @pytest.mark.parametrize(
+        "potential,n,bounds",
+        [
+            (ef.quadratic(1.0), 60, (-8.0, 8.0)),
+            (ef.quadratic(1.0), 200, (-8.0, 8.0)),
+            (ef.abs_potential(1.0), 60, (-40.0, 40.0)),
+            (ef.quartic(1.0, 0.5), 60, (-4.5, 4.5)),
+            (ef.affine_max([[-3.0, 0.0], [1.5, 0.0], [6.0, -3.0]]), 60, (-15.0, 10.0)),
+            (ef.box(0.0, 1.0), 60, (-0.25, 1.25)),
+            (ef.box(-1.0, 1.5, ef.abs_potential(2.0)), 60, (-1.25, 1.75)),
+        ],
+        ids=["quadratic-60", "quadratic-200", "abs", "quartic", "affine_max", "box", "box-abs"],
+    )
+    def test_fp_power_matches_step_loop(self, potential, n, bounds, k):
+        gamma = ef.discretize_reference(potential, n, bounds)
+        t = 0.25
+        dt = t / k
+        assert int(math.ceil(t / dt - 1e-9)) == k
+        p = orc.semigroup_matrix(gamma, t, dt=dt)
+        assert np.abs(p - self._fp_step_loop(gamma, t, dt)).max() <= 1e-13
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-14
+
+    def test_fp_time_zero_is_identity(self, gaussian_ref_coarse):
+        p = orc.semigroup_matrix(gaussian_ref_coarse, 0.0)
+        assert np.array_equal(p, np.eye(gaussian_ref_coarse.n))
+
+    def test_fp_rejects_negative_time(self, gaussian_ref_coarse):
+        # a negative power would invert the step and run the scheme backward
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            orc.semigroup_matrix(gaussian_ref_coarse, -0.1)
+
     def test_jko_keeps_only_the_current_stack(self):
         # the batch holds one (rows, n+1) stack at a time; all 51 would take 1.5 MB
         gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))

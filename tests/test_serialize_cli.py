@@ -202,6 +202,16 @@ class TestCli:
         assert cli_main(["dirichlet", str(path)]) == 0
         assert (tmp_path / "d" / "boundary_density.csv").exists()
 
+    def test_dirichlet_command_on_affine_max(self, tmp_path):
+        cfg = {
+            "potential": {"kind": "affine_max", "pieces": [[-3, 0], [1.5, 0], [6, -3]]},
+            "grid": {"n": 200},
+            "output_dir": str(tmp_path / "d"),
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert cli_main(["dirichlet", str(path)]) == 0
+
     def test_check_all(self, tmp_path):
         assert cli_main(["check-all", "--out", str(tmp_path / "ck"), "--seed", "1"]) == 0
         manifest = json.loads((tmp_path / "ck" / "check_all_manifest.json").read_text())
