@@ -103,6 +103,11 @@ class NormSpec:
 # ---------------------------------------------------------------------------
 # Convex potential catalog (1-D)
 # ---------------------------------------------------------------------------
+def _subgradient_pick(dr, dl):
+    """The drift's pick from the one-sided derivatives: their mean, or 0 where they bracket 0."""
+    return np.where((dl <= 0.0) & (dr >= 0.0), 0.0, 0.5 * (dr + dl))
+
+
 class ConvexPotential:
     """Convex lower-semicontinuous potential on R with +inf allowed.
 
@@ -124,12 +129,7 @@ class ConvexPotential:
         x = np.asarray(x, dtype=float)
         if self.is_smooth():
             return self.derivative(x)  # one-sided derivatives agree inside the domain
-        dr = self.derivative(x, "right")
-        dl = self.derivative(x, "left")
-        g = 0.5 * (dr + dl)
-        # where the subdifferential brackets zero, pick zero
-        bracket = (dl <= 0.0) & (dr >= 0.0)
-        return np.where(bracket, 0.0, g)
+        return _subgradient_pick(self.derivative(x, "right"), self.derivative(x, "left"))
 
     def finite_interval(self) -> tuple[float, float]:
         """Closure of the effective domain {V < +inf}."""
@@ -252,6 +252,10 @@ class QuarticPotential(ConvexPotential):
         return {"kind": "quartic", "a": self.a, "b": self.b}
 
 
+_ABS_KINKS = np.zeros(1)
+_ABS_KINKS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class AbsPotential(ConvexPotential):
     """V(x) = a |x| + c with a > 0 (Laplace reference)."""
@@ -271,7 +275,7 @@ class AbsPotential(ConvexPotential):
         return np.where(at_zero, self.a if side == "right" else -self.a, d)
 
     def kinks(self):
-        return np.array([0.0])
+        return _ABS_KINKS
 
     def argmin(self):
         return 0.0
@@ -301,6 +305,10 @@ class BoxPotential(ConvexPotential):
             raise ValueError(
                 f"box [{self.lo}, {self.hi}] does not overlap its inner potential's domain"
             )
+        ks = np.array([]) if self.inner is None else self.inner.kinks()
+        ks = ks[(ks > self.lo) & (ks < self.hi)]
+        ks.setflags(write=False)
+        object.__setattr__(self, "_kinks", ks)
 
     def _inner_value(self, x):
         if self.inner is None:
@@ -328,19 +336,13 @@ class BoxPotential(ConvexPotential):
         return (max(self.lo, lo), min(self.hi, hi))
 
     def kinks(self):
-        if self.inner is None:
-            return np.array([])
-        ks = self.inner.kinks()
-        return ks[(ks > self.lo) & (ks < self.hi)]
+        return self._kinks
 
     def argmin(self):
         if self.inner is None:
             return 0.5 * (self.lo + self.hi)
         lo, hi = self.finite_interval()
         return min(max(self.inner.argmin(), lo), hi)
-
-    def is_smooth(self):
-        return self.inner is None or len(self.kinks()) == 0
 
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -358,7 +360,16 @@ class BoxPotential(ConvexPotential):
 
 @dataclass(frozen=True)
 class AffineMaxPotential(ConvexPotential):
-    """V(x) = max_k (slope_k x + intercept_k) over at least two lines."""
+    """V(x) = max_k (slope_k x + intercept_k) over at least two lines.
+
+    V, V' and the drift are read off the upper envelope: one ``searchsorted``
+    finds each point's segment, and the segment's top line gives the result.
+    That holds inside the segment's safe interval, where the top line's
+    computed value beats every other line's by more than rounding error plus
+    ``derivative``'s 1e-12 tie tolerance; there the max over all lines is the
+    top line's value bit for bit. Points outside it (near a kink, far out,
+    not finite) take the max over all lines.
+    """
 
     slopes: np.ndarray
     intercepts: np.ndarray
@@ -375,65 +386,121 @@ class AffineMaxPotential(ConvexPotential):
         b.setflags(write=False)
         return cls(slopes=s, intercepts=b)
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.max(np.outer(x, self.slopes) + self.intercepts, axis=-1).reshape(x.shape)
-
-    def derivative(self, x, side="right"):
-        x = np.asarray(x, dtype=float)
-        vals = np.outer(np.ravel(x), self.slopes) + self.intercepts
-        top = vals >= np.max(vals, axis=1, keepdims=True) - 1e-12
-        masked = np.where(top, self.slopes, -np.inf if side == "right" else np.inf)
-        d = masked.max(axis=1) if side == "right" else masked.min(axis=1)
-        return d.reshape(x.shape)
-
     def __post_init__(self):
-        # the envelope depends on the lines only, so its breakpoints, the
-        # active line per segment and the antiderivative's continuity
-        # shifts are built once per instance
+        # the envelope depends on the lines only, so its breakpoints, the top
+        # line per segment, the antiderivative's continuity shifts, the drift
+        # per segment and the safe intervals are built once per instance
         s, b = self.slopes, self.intercepts
-        xs = []
-        for i in range(len(s) - 1):
-            if s[i + 1] == s[i]:
-                continue
-            t = (b[i] - b[i + 1]) / (s[i + 1] - s[i])
-            v = float(self.value(np.array([t]))[0])
-            if v <= s[i] * t + b[i] + 1e-10:
-                xs.append(t)
-        ks = np.unique(np.asarray(xs, dtype=float))
-        bounds = np.concatenate([[-np.inf], ks, [np.inf]])
-        probes = []
-        for i in range(len(bounds) - 1):
-            lo, hi = bounds[i], bounds[i + 1]
-            if not math.isfinite(lo):
-                probes.append(hi - 1.0 if math.isfinite(hi) else 0.0)
-            elif not math.isfinite(hi):
-                probes.append(lo + 1.0)
-            else:
-                probes.append(0.5 * (lo + hi))
-        active = np.argmax(np.outer(np.asarray(probes), s) + b, axis=1)
-        seg_s, seg_b = s[active], b[active]
+        sl, bl = s.tolist(), b.tolist()
+
+        def cross(i, j):  # where line j (steeper) overtakes line i
+            return (bl[i] - bl[j]) / (sl[j] - sl[i])
+
+        # upper hull in one pass over the lines in slope order: of equal
+        # slopes the larger intercept stays, and a line is dropped once its
+        # neighbours meet no later than it meets either of them
+        hull: list[int] = []
+        for i in np.argsort(s, kind="stable").tolist():
+            if hull and sl[hull[-1]] == sl[i]:
+                if bl[i] <= bl[hull[-1]]:
+                    continue
+                hull.pop()
+            while len(hull) >= 2 and cross(hull[-2], hull[-1]) >= cross(hull[-1], i):
+                hull.pop()
+            hull.append(i)
+        ks = np.array([cross(i, j) for i, j in zip(hull, hull[1:])], dtype=float)
+        seg_s, seg_b = s[hull], b[hull]
 
         def raw(seg, t):
             return 0.5 * seg_s[seg] * t * t + seg_b[seg] * t
 
-        shifts = np.zeros(len(active))
-        for i in range(1, len(active)):
+        shifts = np.zeros(len(hull))
+        for i in range(1, len(hull)):
             k = ks[i - 1]
             shifts[i] = shifts[i - 1] + raw(i - 1, k) - raw(i, k)
-        for arr in (ks, seg_s, seg_b, shifts):
+        # the drift where both one-sided derivatives are the top slope
+        drift = _subgradient_pick(seg_s, seg_s) if len(ks) else seg_s
+
+        # Safe interval of each segment. A computed line value x*s + b is off
+        # by at most 2.01 eps/2 (|x| |s| + |b|), so where every other line is
+        # below the top one by more than `need` (far above those errors plus
+        # the 1e-12 tolerance) the all-lines max, and the set of lines within
+        # 1e-12 of it, are the top line alone. Bitwise copies of the top line
+        # compute the same value and slope and are left out. Each gap is
+        # linear in x, so the set where it exceeds `need` is a half-line; its
+        # end is placed at gap = 2 need, which absorbs the rounding of that
+        # root. |x| is capped so the error bound stays finite on the two
+        # outer segments.
+        cap = 1e3 * (1.0 + np.abs(ks).max(initial=0.0))
+        lo = np.maximum(np.concatenate([[-np.inf], ks]), -cap)
+        hi = np.minimum(np.concatenate([ks, [np.inf]]), cap)
+        reach = np.maximum(np.abs(lo), np.abs(hi))
+        eps = np.finfo(float).eps
+        need = (1.01e-12 + 64.0 * eps * (reach * np.abs(s).max() + np.abs(b).max()) + 1e-290)[:, None]
+        ds, db = seg_s[:, None] - s, seg_b[:, None] - b
+        bits = np.int64
+        copy = (seg_s.view(bits)[:, None] == s.view(bits)) & (seg_b.view(bits)[:, None] == b.view(bits))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = (2.0 * need - db) / ds
+        lo = np.maximum(lo, np.where(ds > 0.0, root, -np.inf).max(axis=1))
+        hi = np.minimum(hi, np.where(ds < 0.0, root, np.inf).min(axis=1))
+        level = ((ds == 0.0) & ~copy & (db <= 2.0 * need)).any(axis=1)
+        lo[level], hi[level] = np.inf, -np.inf
+        for arr in (ks, seg_s, seg_b, shifts, drift, lo, hi):
             arr.setflags(write=False)
         object.__setattr__(self, "_envelope", (ks, seg_s, seg_b, shifts))
+        object.__setattr__(self, "_lookup", (lo, hi, drift))
+
+    def _lines(self, x):
+        """Every line's value at each point of flat x, shape (len(x), K)."""
+        return np.outer(x, self.slopes) + self.intercepts
+
+    def _segments(self, x):
+        """Flat x, its envelope segment, and where the segment's top line settles the result."""
+        flat = np.ravel(x)
+        lo, hi = self._lookup[:2]
+        seg = np.searchsorted(self._envelope[0], flat, side="right")
+        return flat, seg, (lo[seg] <= flat) & (flat <= hi[seg])
+
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        flat, seg, fast = self._segments(x)
+        _, s, b, _ = self._envelope
+        out = flat * s[seg] + b[seg]
+        if not fast.all():
+            slow = ~fast
+            out[slow] = np.max(self._lines(flat[slow]), axis=-1)
+        return out.reshape(x.shape)
+
+    def derivative(self, x, side="right"):
+        x = np.asarray(x, dtype=float)
+        flat, seg, fast = self._segments(x)
+        d = self._envelope[1][seg]
+        if not fast.all():
+            slow = ~fast
+            vals = self._lines(flat[slow])
+            top = vals >= np.max(vals, axis=1, keepdims=True) - 1e-12
+            masked = np.where(top, self.slopes, -np.inf if side == "right" else np.inf)
+            d[slow] = masked.max(axis=1) if side == "right" else masked.min(axis=1)
+        return d.reshape(x.shape)
+
+    def drift(self, x):
+        x = np.asarray(x, dtype=float)
+        flat, seg, fast = self._segments(x)
+        g = self._lookup[2][seg]
+        if not fast.all():
+            slow = ~fast
+            g[slow] = super().drift(flat[slow])
+        return g.reshape(x.shape)
 
     def kinks(self):
-        """Envelope breakpoints: intersections of consecutive active lines."""
+        """Envelope breakpoints: intersections of consecutive hull lines."""
         return self._envelope[0]
 
     def argmin(self):
         ks = self.kinks()
-        candidates = list(ks) if len(ks) else [0.0]
-        vals = [float(self.value(np.array([c]))[0]) for c in candidates]
-        return float(candidates[int(np.argmin(vals))])
+        candidates = ks if len(ks) else np.array([0.0])
+        return float(candidates[int(np.argmin(self.value(candidates)))])
 
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)
@@ -473,45 +540,63 @@ class TabulatedPotential(ConvexPotential):
         return cls(xs=xs, vals=vals)
 
     def __post_init__(self):
-        # slopes and cumulative integrals depend on the table only: built once per instance
+        # slopes, cumulative integrals, kinks and the drift per interval
+        # depend on the table only: built once per instance
         slopes = np.diff(self.vals) / np.diff(self.xs)
-        if np.any(np.diff(slopes) < -1e-10 * max(1.0, np.abs(slopes).max())):
+        scale = max(1.0, np.abs(slopes).max())
+        if np.any(np.diff(slopes) < -1e-10 * scale):
             raise ValueError("tabulated values are not convex")
         pieces = 0.5 * (self.vals[1:] + self.vals[:-1]) * np.diff(self.xs)
         cum = np.concatenate([[0.0], np.cumsum(pieces)])
-        for arr in (slopes, cum):
+        kinks = self.xs[1:-1][np.abs(np.diff(slopes)) > 1e-12 * scale]
+        # the drift between knots, where both one-sided derivatives are the slope
+        drift = _subgradient_pick(slopes, slopes) if len(kinks) else slopes
+        for arr in (slopes, cum, kinks, drift):
             arr.setflags(write=False)
-        object.__setattr__(self, "_table", (slopes, cum))
+        object.__setattr__(self, "_table", (slopes, cum, kinks, drift))
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        v = np.interp(x, self.xs, self.vals)
-        return np.where((x < self.xs[0]) | (x > self.xs[-1]), np.inf, v)
+        return np.asarray(np.interp(x, self.xs, self.vals, left=np.inf, right=np.inf))
+
+    def _segments(self, x, side="right"):
+        """Table interval of each point, the first or last one beyond the table.
+
+        Searching the interior knots gives the clamped index directly; a
+        point on a knot belongs to the interval on its ``side``.
+        """
+        return np.searchsorted(self.xs[1:-1], x, side=side)
 
     def derivative(self, x, side="right"):
         x = np.asarray(x, dtype=float)
-        slopes = self._table[0]
-        idx = np.searchsorted(self.xs, x, side="right" if side == "right" else "left") - 1
-        idx = np.clip(idx, 0, len(slopes) - 1)
-        d = slopes[idx]
+        d = self._table[0][self._segments(x, "right" if side == "right" else "left")]
         return np.where((x < self.xs[0]) | (x > self.xs[-1]), np.nan, d)
 
     def finite_interval(self):
         return (float(self.xs[0]), float(self.xs[-1]))
 
+    def drift(self, x):
+        # strictly between two knots both one-sided slopes are the interval's;
+        # points on a knot or outside the table take the general rule
+        x = np.asarray(x, dtype=float)
+        flat = np.ravel(x)
+        i = self._segments(flat)
+        g = self._table[3][i]
+        slow = ~((self.xs[i] < flat) & (flat < self.xs[i + 1]))
+        if slow.any():
+            g[slow] = super().drift(flat[slow])
+        return g.reshape(x.shape)
+
     def kinks(self):
-        slopes = self._table[0]
-        jump = np.abs(np.diff(slopes)) > 1e-12 * max(1.0, np.abs(slopes).max())
-        return self.xs[1:-1][jump]
+        return self._table[2]
 
     def argmin(self):
         return float(self.xs[int(np.argmin(self.vals))])
 
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)
-        slopes, cum = self._table
+        slopes, cum = self._table[:2]
         xc = np.clip(x, self.xs[0], self.xs[-1])
-        i = np.clip(np.searchsorted(self.xs, xc, side="right") - 1, 0, len(slopes) - 1)
+        i = self._segments(x)
         t = xc - self.xs[i]
         return cum[i] + self.vals[i] * t + 0.5 * slopes[i] * t * t
 

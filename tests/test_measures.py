@@ -106,6 +106,9 @@ class TestPotentialCatalog:
             ef.quartic(0.8, 0.5),
             ef.abs_potential(1.2, 0.3),
             ef.affine_max([(-2.0, 0.1), (0.5, 0.0), (3.0, -2.0)]),
+            # lines that are never on top
+            ef.affine_max([(-1.0, 0.0), (0.0, -5.0), (1.0, 0.0)]),
+            ef.affine_max([(-2.0, 0.0), (-1.0, -3.0), (0.0, -10.0), (1.0, -3.0), (2.0, 0.0)]),
             ef.tabulated(np.linspace(-3, 3, 40), np.linspace(-3, 3, 40) ** 2),
         ]
         for pot in pots:
