@@ -25,6 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
+from scipy.special import ndtr, ndtri
 
 from .measures import (
     DiscreteMeasure,
@@ -143,6 +144,13 @@ class QuantileLattice:
         self._m_diag = np.concatenate([[m[0] / 3.0], (m[:-1] + m[1:]) / 3.0, [m[-1] / 3.0]])[None]
         self._m_off = (m / 6.0)[None]
         self._log_cell_mass = np.log(m)[None]
+        # edges i, j near the quartiles, and c with variance >= c (e_j - e_i)^2
+        # for every member: mass levels[i] lies left of edge i and
+        # 1 - levels[j] right of edge j, wherever the mean is
+        i = int(np.searchsorted(self.levels, 0.25, side="right")) - 1
+        j = int(np.searchsorted(self.levels, 0.75, side="left"))
+        a, b = self.levels[i], 1.0 - self.levels[j]
+        self._spread = (i, j, a * b / (a + b) if a + b > 0.0 else 0.0)
 
     # -- metric ------------------------------------------------------------
     # The kernels take a stack of edge vectors (..., n+1) and give one value
@@ -246,6 +254,52 @@ class QuantileLattice:
         edges = np.interp(u, knots_u, knots_x)
         return np.maximum.accumulate(edges)
 
+    def heat_kernel_start(self, e: np.ndarray, tau: float) -> np.ndarray:
+        """Newton start of a proximal step of length tau from each row of a stack (B, n+1).
+
+        One proximal step of the entropy alone takes the Gaussian of
+        standard deviation s to the Gaussian of deviation
+        (s + sqrt(s^2 + 4 tau')) / 2, where tau' is tau over the metric's
+        weight on a unit translation (1 on an unweighted lattice). A row
+        whose variance is below 2 tau' starts at that image of the Gaussian
+        with the row's mean and variance, truncated to the domain and read
+        at the lattice levels. The outer edge of each end cell is the
+        reflection of the cell's half-mass quantile about its inner edge,
+        so it is finite. Other rows stay as they are, and a stack with no
+        narrow row is returned itself. A quartile spread rules out a wide
+        row before any of its moments is computed.
+        """
+        t = tau / (self._m_diag.sum() + 2.0 * self._m_off.sum())
+        i, j, c = self._spread
+        rows = np.flatnonzero(c * (e[:, j] - e[:, i]) ** 2 < 2.0 * t)
+        if not len(rows):
+            return e
+        d = e[rows] - e[rows, i : i + 1]  # centred, so the variance keeps its digits
+        a, b = d[:, :-1], d[:, 1:]
+        mean = 0.5 * np.sum(self._mass * (a + b), axis=-1)
+        var = np.maximum(np.sum(self._mass * (a * a + a * b + b * b), axis=-1) / 3.0 - mean * mean, 0.0)
+        narrow = var < 2.0 * t
+        if not narrow.any():
+            return e
+        rows, mean, var = rows[narrow], mean[narrow], var[narrow]
+        mu = (e[rows, i] + mean)[:, None]
+        sd = 0.5 * (np.sqrt(var) + np.sqrt(var + 4.0 * t))[:, None]
+        lo, hi = self.domain
+        p_lo, q_hi = ndtr((lo - mu) / sd), ndtr((mu - hi) / sd)
+        mass = 1.0 - q_hi - p_lo
+        u = self.levels.copy()
+        u[0], u[-1] = 0.5 * u[1], 0.5 * (1.0 + u[-2])
+        k = int(np.searchsorted(u, 0.5))
+        x = np.empty((len(rows), len(u)))
+        # lower and upper halves from their own tail, so neither loses the far tail's digits
+        x[:, :k] = mu + sd * ndtri(p_lo + u[:k] * mass)
+        x[:, k:] = mu - sd * ndtri(q_hi + (1.0 - u[k:]) * mass)
+        x[:, 0] = 2.0 * x[:, 0] - x[:, 1]
+        x[:, -1] = 2.0 * x[:, -1] - x[:, -2]
+        out = e.copy()
+        out[rows] = x
+        return out
+
     def to_grid_weights(self, edges: np.ndarray) -> np.ndarray:
         """Exact cell masses of the represented measure on gamma's grid.
 
@@ -321,7 +375,8 @@ def _native_step(
     one banded solve per Newton iteration for the whole stack, while each
     row keeps its own backtracking line search, convergence test and
     iteration count. A row's result is therefore the one it gets alone. The
-    iterates start at ``start`` (default ``e_prev``).
+    iterates start at ``start``, by default the lattice's heat-kernel start,
+    which reads ``e_prev`` alone and is ``e_prev`` itself for wide laws.
 
     Returns (edges, objective, entropy, w2_sq, residual, iterations,
     converged), each with one entry per row, and the entropy state at the
@@ -334,7 +389,8 @@ def _native_step(
     inv_tau = 1.0 / tau
     lo, hi = lat.domain
     pot = lat.gamma.potential
-    e = _strictly_increasing(_clamp(e_prev if start is None else start, lo, hi))
+    e = lat.heat_kernel_start(e_prev, tau) if start is None else start
+    e = _strictly_increasing(_clamp(e, lo, hi))
     if math.isfinite(hi):
         spill = e[:, -1] > hi  # the tie-repair ramp may spill over a wall
         if spill.any():

@@ -440,7 +440,7 @@ class AffineMaxPotential(ConvexPotential):
         ds, db = seg_s[:, None] - s, seg_b[:, None] - b
         bits = np.int64
         copy = (seg_s.view(bits)[:, None] == s.view(bits)) & (seg_b.view(bits)[:, None] == b.view(bits))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # roots beyond float range are +-inf
             root = (2.0 * need - db) / ds
         lo = np.maximum(lo, np.where(ds > 0.0, root, -np.inf).max(axis=1))
         hi = np.minimum(hi, np.where(ds < 0.0, root, np.inf).min(axis=1))
@@ -481,7 +481,9 @@ class AffineMaxPotential(ConvexPotential):
             vals = self._lines(flat[slow])
             top = vals >= np.max(vals, axis=1, keepdims=True) - 1e-12
             masked = np.where(top, self.slopes, -np.inf if side == "right" else np.inf)
-            d[slow] = masked.max(axis=1) if side == "right" else masked.min(axis=1)
+            d[slow] = np.where(
+                np.isnan(flat[slow]), np.nan, masked.max(axis=1) if side == "right" else masked.min(axis=1)
+            )
         return d.reshape(x.shape)
 
     def drift(self, x):
@@ -569,7 +571,7 @@ class TabulatedPotential(ConvexPotential):
     def derivative(self, x, side="right"):
         x = np.asarray(x, dtype=float)
         d = self._table[0][self._segments(x, "right" if side == "right" else "left")]
-        return np.where((x < self.xs[0]) | (x > self.xs[-1]), np.nan, d)
+        return np.where((x >= self.xs[0]) & (x <= self.xs[-1]), d, np.nan)  # NaN outside and at NaN
 
     def finite_interval(self):
         return (float(self.xs[0]), float(self.xs[-1]))

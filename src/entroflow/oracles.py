@@ -281,7 +281,11 @@ class SdeSample:
 
 def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     span = hi - lo
-    y = np.mod(x - lo, 2.0 * span)
+    y = x - lo
+    # np.mod(y, 2 span) is y itself on [0, 2 span): only paths outside take it
+    outside = ~((y >= 0.0) & (y < 2.0 * span))
+    if outside.any():
+        y[outside] = np.mod(y[outside], 2.0 * span)
     y = np.where(y > span, 2.0 * span - y, y)
     return lo + y
 

@@ -76,8 +76,7 @@ def _csv_text(header: list[str], rows) -> str:
 
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     header = [f"coord_{i + 1}" for i in range(mu.dim)] + ["weight"]
-    rows = [tuple(map(float, pt)) + (float(w),) for pt, w in zip(mu.support, mu.weights)]
-    atomic_write_text(Path(path), _csv_text(header, rows))
+    atomic_write_text(Path(path), _csv_text(header, np.column_stack([mu.support, mu.weights])))
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
@@ -95,7 +94,7 @@ def read_measure_csv(path) -> DiscreteMeasure:
 def write_reference(path_base, gamma: ReferenceMeasure) -> None:
     """CSV of grid weights plus a JSON sidecar with the construction data."""
     base = Path(path_base)
-    rows = [(float(x), float(w)) for x, w in zip(gamma.grid, gamma.weights)]
+    rows = np.column_stack([gamma.grid, gamma.weights])
     atomic_write_text(base.with_suffix(".csv"), _csv_text(["coord_1", "weight"], rows))
     sidecar = {
         "potential": gamma.potential.descriptor(),
@@ -126,16 +125,13 @@ def write_coupling_csv(path, coupling: Coupling) -> None:
 
 
 def write_trajectory_csv(path, traj) -> None:
-    rows = [(float(traj.times[0]), float(traj.entropies[0]), 0.0, 0.0)]
-    for k in range(len(traj.w2_increments)):
-        rows.append(
-            (
-                float(traj.times[k + 1]),
-                float(traj.entropies[k + 1]),
-                float(traj.w2_increments[k]),
-                float(traj.evi_residuals[k]),
-            )
-        )
+    # the start row has no increment and no residual
+    rows = np.column_stack([
+        traj.times,
+        traj.entropies,
+        np.concatenate([[0.0], traj.w2_increments]),
+        np.concatenate([[0.0], traj.evi_residuals]),
+    ])
     atomic_write_text(
         Path(path), _csv_text(["t", "entropy", "w2_increment", "evi_max_residual"], rows)
     )

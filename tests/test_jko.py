@@ -329,6 +329,70 @@ class TestCarriedState:
             assert all(np.array_equal(a, b) for a, b in zip(fresh[:7], given[:7]))
 
 
+def _one_cell_starts(gamma, lat, cells):
+    return np.stack([lat.from_weights(np.eye(gamma.n)[j]) for j in cells])
+
+
+class TestHeatKernelStart:
+    def test_semigroup_first_step_is_short(self):
+        # the reference of the jko semigroup benchmark: 60 one-cell starts
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
+        lat = QuantileLattice(gamma)
+        starts = _one_cell_starts(gamma, lat, range(gamma.n))
+        first = next(_flow_steps(lat, starts, ef.JkoConfig(tau=5e-3), 5e-3))
+        assert first[6].all()
+        assert first[5].max() <= 8  # 32 from the one-cell law itself
+
+    @pytest.mark.parametrize("name", [*CARRY_REFS, "box"])
+    @pytest.mark.parametrize("tau", [0.01, 0.1])
+    def test_warm_and_cold_agree_within_the_tolerance_radius(self, name, tau):
+        # the objective is (1/tau)-convex in W2, so a solve stopped within
+        # inner_tol * (1 + |F|) of its minimum lies within
+        # sqrt(2 tau inner_tol (1 + |F|)) of the minimizer, whatever its start
+        gamma = (
+            ef.discretize_reference(ef.box(0.0, 1.0), 200, (0.0, 1.0)) if name == "box" else CARRY_REFS[name]()
+        )
+        lat = QuantileLattice(gamma)
+        sup = gamma.support_indices()
+        # the box's end cells touch its walls
+        starts = _one_cell_starts(gamma, lat, sup[[0, 1, len(sup) // 2, -1]])
+        warm = lat.heat_kernel_start(starts, tau)
+        narrow = np.any(warm != starts, axis=1)
+        # at tau = 0.01 the one-cell laws of the wide abs and affine_max grids are wide
+        assert narrow.all() or (tau == 0.01 and name in ("abs", "affine_max") and not narrow.any())
+        tol = 1e-12
+        hot = _native_step(lat, starts, tau, tol, 80)
+        cold = _native_step(lat, starts, tau, tol, 80, start=starts)
+        assert hot[6].all() and cold[6].all()
+        lo, hi = lat.domain
+        assert np.all(warm >= lo) and np.all(warm <= hi) and np.all(np.diff(warm) >= 0.0)
+        radius = np.sqrt(2.0 * tau * tol * (1.0 + np.abs(hot[1])))
+        assert np.all(lat.w2(hot[0], cold[0]) <= 2.0 * radius)
+        assert np.all(hot[5][narrow] < cold[5][narrow])
+        assert np.array_equal(hot[0][~narrow], cold[0][~narrow])
+
+    def test_wide_start_is_left_as_it_is(self, gaussian_ref):
+        lat = QuantileLattice(gaussian_ref)
+        cfg = ef.JkoConfig(tau=4e-3)
+        e = lat.from_grid(ef.gaussian_on_grid(gaussian_ref, 0.7, 0.5))[None]
+        for out in _flow_steps(lat, e, cfg, 5 * cfg.tau):
+            assert lat.heat_kernel_start(e, cfg.tau) is e
+            cold = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters, start=e)
+            assert all(np.array_equal(a, b) for a, b in zip(out, cold[:7]))
+            e = out[0]
+
+    def test_quartile_spread_bounds_the_variance(self, rng):
+        # the O(1) pre-test may rule a row wide only if its variance is at least 2 tau'
+        for gamma in (BATCH_REFS["quadratic"](), BATCH_REFS["box_quadratic"](), CARRY_REFS["abs"]()):
+            lat = QuantileLattice(gamma)
+            i, j, c = lat._spread
+            members = [lat.from_grid(random_grid_measure(gamma, rng)) for _ in range(20)]
+            members += list(_one_cell_starts(gamma, lat, gamma.support_indices()))
+            for e in members:
+                var = lat.second_moment(e) - lat.mean(e) ** 2
+                assert c * (e[j] - e[i]) ** 2 <= var * (1.0 + 1e-9) + 1e-15
+
+
 def _banded_reference(diag, off, grad):
     """The stack's Newton systems solved as one banded system by solveh_banded."""
     rows, size = diag.shape

@@ -198,6 +198,30 @@ class TestSde:
         with pytest.raises(ValueError):
             orc.sde_simulate(ef.quartic(1e6), 3.0, 0.1, 1.0, 10, seed=0)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.5), (-0.0, 1e-3), (2.5, 7.25), (-40.0, -39.9)])
+    def test_reflect_equals_folding_every_path(self, lo, hi, rng):
+        # the reflection skips np.mod where it returns its argument; the
+        # result is the fold of every path by np.mod bit for bit
+        def folded(x):
+            span = hi - lo
+            y = np.mod(x - lo, 2.0 * span)
+            return lo + np.where(y > span, 2.0 * span - y, y)
+
+        span = hi - lo
+        marks = np.array([lo, hi, lo + 2.0 * span, lo - span, hi + span])
+        x = np.concatenate([
+            rng.uniform(lo - 3.0 * span, hi + 3.0 * span, 20000),
+            rng.uniform(lo, hi, 2000),
+            marks,
+            np.nextafter(marks, np.inf),
+            np.nextafter(marks, -np.inf),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300],
+        ])
+        with np.errstate(invalid="ignore"):
+            got, ref = orc._reflect(x, lo, hi), folded(x)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
 
 class TestSemigroup:
     def test_identity_at_time_zero(self, gaussian_ref_coarse):

@@ -5,7 +5,9 @@ from their envelope or table with one search per call. The reference
 functions below are the direct formulas they replace (the max over every
 line; the table searched over all knots, with the kinks rebuilt per call);
 the lookup must return the same bits at any point, including kinks, knots,
-their float neighbours and points outside the domain.
+their float neighbours and points outside the domain. The one departure is
+NaN: the references' V' (and so the drift) is NaN there, where the direct
+formulas gave a slope or an infinity.
 """
 import json
 import math
@@ -30,13 +32,17 @@ def ref_affine_value(pot, x):
     return np.max(np.outer(x, pot.slopes) + pot.intercepts, axis=-1).reshape(x.shape)
 
 
+def nan_in_nan_out(x, d):
+    return np.where(np.isnan(x), np.nan, d)
+
+
 def ref_affine_derivative(pot, x, side):
     x = np.asarray(x, dtype=float)
     vals = np.outer(np.ravel(x), pot.slopes) + pot.intercepts
     top = vals >= np.max(vals, axis=1, keepdims=True) - 1e-12
     masked = np.where(top, pot.slopes, -np.inf if side == "right" else np.inf)
     d = masked.max(axis=1) if side == "right" else masked.min(axis=1)
-    return d.reshape(x.shape)
+    return nan_in_nan_out(x, d.reshape(x.shape))
 
 
 def ref_affine_antiderivative(pot, x):
@@ -63,7 +69,7 @@ def ref_tab_derivative(pot, x, side):
     slopes = np.diff(pot.vals) / np.diff(pot.xs)
     idx = np.searchsorted(pot.xs, x, side="right" if side == "right" else "left") - 1
     d = slopes[np.clip(idx, 0, len(slopes) - 1)]
-    return np.where((x < pot.xs[0]) | (x > pot.xs[-1]), np.nan, d)
+    return nan_in_nan_out(x, np.where((x < pot.xs[0]) | (x > pot.xs[-1]), np.nan, d))
 
 
 def ref_tab_antiderivative(pot, x):
@@ -211,6 +217,13 @@ def same(a, b):
     return np.asarray(a).shape == np.asarray(b).shape and np.array_equal(a, b, equal_nan=True)
 
 
+def nan_stays_nan(pot, x):
+    nan = np.isnan(x)
+    assert nan.any()
+    for got in (pot.value(x), pot.derivative(x, "right"), pot.derivative(x, "left"), pot.drift(x)):
+        assert np.isnan(got[nan]).all()
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
@@ -228,6 +241,7 @@ def test_affine_max_lookup_matches_all_lines(pot, seed):
                 assert same(pot.derivative(x, side), ref_affine_derivative(pot, x, side))
             assert same(pot.drift(x), ref_drift(lambda y, s: ref_affine_derivative(pot, y, s), smooth, x))
             assert same(pot.antiderivative(x), ref_affine_antiderivative(pot, x))
+            nan_stays_nan(pot, x)
         for e in edge_blocks(pts, -1e3, 1e3):
             assert same(pot.cell_integrals(e), ref_cell_integrals(pot, ref_affine_antiderivative, e))
         candidates = ks if len(ks) else np.zeros(1)
@@ -270,6 +284,7 @@ def test_tabulated_lookup_matches_table_formulas(pot, seed):
                 assert same(pot.derivative(x, side), ref_tab_derivative(pot, x, side))
             assert same(pot.drift(x), ref_drift(lambda y, s: ref_tab_derivative(pot, y, s), len(kinks) == 0, x))
             assert same(pot.antiderivative(x), ref_tab_antiderivative(pot, x))
+            nan_stays_nan(pot, x)
         for e in edge_blocks(pts, lo - 1.0, hi + 1.0):
             assert same(pot.cell_integrals(e), ref_cell_integrals(pot, ref_tab_antiderivative, e))
 
