@@ -21,11 +21,10 @@ _EXPORTS = {  # module -> the names the package exports from it
         grid_measure potential_from_descriptor quadratic quartic rebin_measure
         relative_entropy second_moment suggested_bounds tabulated""".split(),
     "transport": """Coupling cyclical_monotonicity_check displacement_interpolate
-        interpolate_from_base project_norm w2 w2_exact_1d w2_lp w2_sinkhorn""".split(),
+        interpolate_from_base w2 w2_exact_1d w2_lp w2_sinkhorn""".split(),
     "jko": """FlowTrajectory JkoConfig JkoSolverError QuantileLattice UNIFORM_APPROX_CONSTANT
         dirac_transport_cost estimate_checks evi_residual_profile invariance_check
-        jko_step_detailed jko_trajectory refine_trajectory transition_measure
-        transition_trajectory""".split(),
+        jko_step_detailed jko_trajectory refine_trajectory transition_trajectory""".split(),
     "report": ["CheckItem", "CheckReport"],
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,6 +20,8 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
+from .report import CheckReport
+
 __all__ = ["main", "run", "ConfigError"]
 
 
@@ -232,7 +234,7 @@ def _cmd_flow(c, outdir, seed, tol_scale):
     for t in times:
         write_measure_csv(outdir / f"measure_t{t:g}.csv", traj.measure_at(float(t)))
 
-    report = estimate_checks(traj, gamma, rng=np.random.default_rng(seed))
+    report = estimate_checks(traj, rng=np.random.default_rng(seed))
     worst_increase = float(np.max(np.diff(traj.entropies))) if len(traj.entropies) > 1 else 0.0
     report.add("entropy_nonincreasing", worst_increase, 0.0, c["tolerances.entropy_decrease"])
     return report, {
@@ -244,7 +246,6 @@ def _cmd_flow(c, outdir, seed, tol_scale):
 
 def _cmd_step(c, outdir, seed, tol_scale):
     from .jko import jko_step_detailed
-    from .report import CheckReport
     from .serialize import write_measure_csv
 
     gamma = _reference(c)
@@ -260,7 +261,6 @@ def _cmd_step(c, outdir, seed, tol_scale):
 
 def _cmd_transition(c, outdir, seed, tol_scale):
     from .jko import dirac_transport_cost, transition_trajectory
-    from .report import CheckReport
     from .serialize import write_measure_csv
 
     gamma = _reference(c)
@@ -276,7 +276,6 @@ def _cmd_transition(c, outdir, seed, tol_scale):
 
 def _cmd_fp(c, outdir, seed, tol_scale):
     from .oracles import fp_solve
-    from .report import CheckReport
     from .serialize import _csv_text, atomic_write_text
 
     gamma = _reference(c)
@@ -293,7 +292,6 @@ def _cmd_fp(c, outdir, seed, tol_scale):
 
 def _cmd_sde(c, outdir, seed, tol_scale):
     from .oracles import sde_simulate
-    from .report import CheckReport
     from .serialize import _csv_text, atomic_write_text
 
     gamma = _reference(c)
@@ -339,7 +337,6 @@ def _cmd_dirichlet(c, outdir, seed, tol_scale):
     import numpy as np
 
     from .dirichlet import boundary_measure_1d, integration_by_parts_check, slope_variational_check
-    from .report import CheckReport
     from .serialize import _csv_text, atomic_write_text
 
     gamma = _reference(c)
@@ -371,7 +368,6 @@ def _cmd_check_all(c, outdir, seed, tol_scale):
     from .dirichlet import boundary_measure_1d, slope_variational_check
     from .jko import JkoConfig, QuantileLattice, jko_trajectory
     from .oracles import fp_solve, reversibility_check
-    from .report import CheckReport
     from .transport import w2_exact_1d, w2_knots_to_gaussian, w2_lp
 
     rng = np.random.default_rng(seed)

@@ -28,6 +28,7 @@ from .measures import (
     suggested_bounds,
 )
 from .report import CheckReport
+from .stability import bounded_lipschitz_dictionary
 from .transport import w2
 
 __all__ = [
@@ -52,13 +53,7 @@ def _grid_values(u, gamma: ReferenceMeasure) -> np.ndarray:
 
 def _support_gradient(vals: np.ndarray, gamma: ReferenceMeasure) -> tuple[np.ndarray, np.ndarray]:
     sup = gamma.support_indices()
-    v = vals[sup]
-    h = gamma.cell_width
-    grad = np.empty_like(v)
-    grad[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-    grad[0] = (v[1] - v[0]) / h
-    grad[-1] = (v[-1] - v[-2]) / h
-    return grad, sup
+    return np.gradient(vals[sup], gamma.cell_width), sup
 
 
 def dirichlet_energy(u, gamma: ReferenceMeasure) -> float:
@@ -148,11 +143,7 @@ def slope_variational_check(
     # sharpness: pushforward along s = -grad(ln u)
     grad, _ = _support_gradient(vals, gamma)
     s = -grad / vals[sup]
-    h = gamma.cell_width
-    ds = np.empty_like(s)
-    ds[1:-1] = (s[2:] - s[:-2]) / (2.0 * h)
-    ds[0] = (s[1] - s[0]) / h
-    ds[-1] = (s[-1] - s[-2]) / h
+    ds = np.gradient(s, gamma.cell_width)
     mass = w_target[sup] / w_target[sup].sum()
     xs = gamma.grid[sup]
     shifted = xs + eps * s
@@ -202,7 +193,7 @@ class SignedMeasure1D:
         vals = np.asarray(f(self.centers), dtype=float)
         out = float(np.dot(vals * self.widths, self.density))
         for loc, mass in self.atoms:
-            out += mass * float(f(np.asarray([loc]))[0] if np.ndim(f(np.asarray([loc]))) else f(loc))
+            out += mass * float(np.ravel(f(np.asarray([loc])))[0])
         return out
 
     def tv_outside(self, radius: float) -> float:
@@ -335,8 +326,6 @@ def boundary_convergence_check(
     dictionary, and convergence of the total variations themselves.
     """
     tol = 1e-2
-    from .stability import bounded_lipschitz_dictionary
-
     report = CheckReport()
     sigmas = [boundary_measure_1d(p) for p in potentials]
     sigma_lim = boundary_measure_1d(limit)

@@ -21,7 +21,7 @@ direction is the exact histogram/quantile correspondence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dptsv
@@ -30,6 +30,7 @@ from scipy.special import ndtr, ndtri
 from .measures import (
     DiscreteMeasure,
     ReferenceMeasure,
+    dirac_on_grid,
     grid_measure,
     rebin_measure,
 )
@@ -46,7 +47,6 @@ __all__ = [
     "jko_trajectory",
     "RefineResult",
     "refine_trajectory",
-    "transition_measure",
     "evi_residual_profile",
     "estimate_checks",
     "invariance_check",
@@ -77,9 +77,6 @@ class JkoConfig:
             raise ValueError("tau must be positive")
         if self.inner_tol <= 0:
             raise ValueError("inner_tol must be positive")
-
-    def with_tau(self, tau: float) -> "JkoConfig":
-        return replace(self, tau=tau)
 
 
 class JkoSolverError(RuntimeError):
@@ -324,9 +321,6 @@ class QuantileLattice:
     def to_measure(self, edges: np.ndarray) -> DiscreteMeasure:
         return grid_measure(self.gamma, self.to_grid_weights(edges))
 
-    def gamma_member(self) -> np.ndarray:
-        return self.gamma_edges.copy()
-
     def mean(self, edges: np.ndarray) -> float:
         return float(np.sum(self.cell_mass * 0.5 * (edges[:-1] + edges[1:])))
 
@@ -563,9 +557,12 @@ class FlowTrajectory:
     w2_increments: np.ndarray
     evi_residuals: np.ndarray
     config: JkoConfig
-    gamma: ReferenceMeasure
     lattice: QuantileLattice
     step_infos: list[StepInfo]
+
+    @property
+    def gamma(self) -> ReferenceMeasure:
+        return self.lattice.gamma
 
     def index_at(self, t: float) -> int:
         """Scheme value at time t: steps cover (k tau, (k+1) tau]."""
@@ -669,7 +666,6 @@ def jko_trajectory(
         w2_increments=np.sqrt(np.maximum([step[3][0] for step in steps], 0.0)),
         evi_residuals=_evi_residuals(lat, edges, entropies, cfg.tau, lat.gamma_edges, 0.0),
         config=cfg,
-        gamma=gamma,
         lattice=lat,
         step_infos=[StepInfo(*(x[0].item() for x in step[1:])) for step in steps],
     )
@@ -681,10 +677,6 @@ class RefineResult:
     cauchy_gaps: np.ndarray
     envelope: np.ndarray
     taus: np.ndarray
-
-    @property
-    def finest(self) -> FlowTrajectory:
-        return self.trajectories[-1]
 
 
 def refine_trajectory(
@@ -706,15 +698,7 @@ def refine_trajectory(
     taus = np.array([tau0 / 2**m for m in range(levels)])
     trajectories = [jko_trajectory(gamma, mu0, JkoConfig(tau=t), T, lattice=lat) for t in taus]
     check_times = np.arange(1, int(round(T / tau0)) + 1) * tau0
-    gaps = []
-    for m in range(levels - 1):
-        worst = 0.0
-        for t in check_times:
-            worst = max(
-                worst,
-                lat.w2(trajectories[m].edges_at(t), trajectories[m + 1].edges_at(t)),
-            )
-        gaps.append(worst)
+    gaps = [_sup_w2(lat, trajectories[m], trajectories[m + 1], check_times) for m in range(levels - 1)]
     h0 = trajectories[0].entropies[0]
     envelope = np.array(
         [2.0 ** (-m / 2.0) * math.sqrt(2.0 * tau0 * h0) for m in range(levels - 1)]
@@ -727,27 +711,20 @@ def refine_trajectory(
     )
 
 
-def transition_measure(
-    gamma: ReferenceMeasure,
-    x: float,
-    t: float,
-    cfg: JkoConfig,
-) -> DiscreteMeasure:
-    """Law at time t of the flow started from the cell closest to x.
+def transition_trajectory(
+    gamma: ReferenceMeasure, x: float, t: float, cfg: JkoConfig
+) -> FlowTrajectory:
+    """Flow to time t started from the cell closest to x.
 
     Points outside the support snap to the nearest support cell; the flow
     is absolutely continuous with respect to gamma from the first step on.
     """
-    return transition_trajectory(gamma, x, t, cfg).measure_at(t)
+    return jko_trajectory(gamma, dirac_on_grid(gamma, x), cfg, t)
 
 
-def transition_trajectory(
-    gamma: ReferenceMeasure, x: float, t: float, cfg: JkoConfig
-) -> FlowTrajectory:
-    from .measures import dirac_on_grid
-
-    start = dirac_on_grid(gamma, x)
-    return jko_trajectory(gamma, start, cfg, t)
+def _sup_w2(lat: QuantileLattice, a: FlowTrajectory, b: FlowTrajectory, times) -> float:
+    """Largest W2 between the states of two flows at the given times, at least 0."""
+    return max([0.0] + [lat.w2(a.edges_at(t), b.edges_at(t)) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -758,9 +735,7 @@ def dirac_transport_cost(gamma: ReferenceMeasure, x: float) -> float:
     return float(x * x - 2.0 * x * gamma.mean() + gamma.second_moment())
 
 
-def evi_residual_profile(
-    traj: FlowTrajectory, nu: DiscreteMeasure, gamma: ReferenceMeasure
-) -> np.ndarray:
+def evi_residual_profile(traj: FlowTrajectory, nu: DiscreteMeasure) -> np.ndarray:
     """Per-step residuals of the discrete variational inequality against nu.
 
     residual_k = [W2^2(mu_{k+1}, nu) - W2^2(mu_k, nu)] / (2 tau)
@@ -794,7 +769,6 @@ def _random_smooth_members(lat: QuantileLattice, count, rng):
 
 def estimate_checks(
     traj: FlowTrajectory,
-    gamma: ReferenceMeasure,
     reference_traj: FlowTrajectory | None = None,
     companion_traj: FlowTrajectory | None = None,
     rng: np.random.Generator | None = None,
@@ -832,9 +806,7 @@ def estimate_checks(
 
     if reference_traj is not None and math.isfinite(h0):
         bound = UNIFORM_APPROX_CONSTANT * math.sqrt(traj.config.tau * max(h0, 0.0))
-        worst = 0.0
-        for t in traj.times[1:]:
-            worst = max(worst, lat.w2(traj.edges_at(t), reference_traj.edges_at(t)))
+        worst = _sup_w2(lat, traj, reference_traj, traj.times[1:])
         report.add(
             "uniform_approximation", worst, bound, 0.0,
             f"C={UNIFORM_APPROX_CONSTANT:.6f}",
@@ -842,14 +814,11 @@ def estimate_checks(
 
     if companion_traj is not None:
         d0 = lat.w2(traj.edges[0], companion_traj.edges[0])
-        worst = 0.0
-        for t in traj.times[1:]:
-            worst = max(worst, lat.w2(traj.edges_at(t), companion_traj.edges_at(t)))
-        report.add("contractivity", worst, d0, 1e-6)
+        report.add("contractivity", _sup_w2(lat, traj, companion_traj, traj.times[1:]), d0, 1e-6)
 
     # each candidate's terms are computed once, one row at a time: a stack of
     # all 21 would hold (21, n+1) temporaries for no measurable gain
-    candidates = [lat.gamma_member()] + _random_smooth_members(lat, 20, rng)
+    candidates = [lat.gamma_edges] + _random_smooth_members(lat, 20, rng)
     cand_w2_sq = np.array([lat.w2_sq(traj.edges[0], e_nu) for e_nu in candidates])
     cand_entropy = np.array([lat.entropy(e_nu) for e_nu in candidates])
     idxs = range(1, len(traj.times))
@@ -864,7 +833,7 @@ def estimate_checks(
     start = traj.initial
     if start.n == 1:
         x = float(start.x[0])
-        cost = dirac_transport_cost(gamma, x)
+        cost = dirac_transport_cost(traj.gamma, x)
         worst = -math.inf
         for i in idxs:
             t = traj.times[i]

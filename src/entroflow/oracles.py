@@ -46,7 +46,6 @@ class FpSolution:
     """
 
     grid: np.ndarray
-    cell_width: float
     times: np.ndarray
     densities: np.ndarray  # (len(times), n)
     dt: float
@@ -189,7 +188,6 @@ def fp_solve(
 
     return FpSolution(
         grid=grid,
-        cell_width=h,
         times=np.asarray(times),
         densities=np.asarray(dens),
         dt=dt,
@@ -418,13 +416,9 @@ def lip_contraction_check(
     f = np.asarray(f_values, dtype=float)
     if len(f) != gamma.n:
         raise ValueError("grid function must match gamma's grid")
-    p = semigroup_matrix(gamma, t)
-    pf = p @ f
-    h = gamma.cell_width
-    sup = gamma.support_indices()
+    # imported here: the dirichlet module loads the transport layer (scipy.optimize),
+    # which the rest of the oracles never needs
+    from .dirichlet import discrete_lipschitz
 
-    def lip(vals):
-        v = vals[sup]
-        return float(np.abs(np.diff(v)).max() / h)
-
-    return LipContractionResult(lip_before=lip(f), lip_after=lip(pf))
+    pf = semigroup_matrix(gamma, t) @ f
+    return LipContractionResult(lip_before=discrete_lipschitz(f, gamma), lip_after=discrete_lipschitz(pf, gamma))

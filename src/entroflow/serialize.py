@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measures import DiscreteMeasure, ReferenceMeasure, potential_from_descriptor
+from .measures import DiscreteMeasure, ReferenceMeasure, discretize_reference, potential_from_descriptor
 from .transport import Coupling
 
 __all__ = [
@@ -110,8 +110,6 @@ def write_reference(path_base, gamma: ReferenceMeasure) -> None:
 def read_reference_sidecar(path):
     with open(path) as handle:
         data = json.load(handle)
-    from .measures import discretize_reference
-
     pot = potential_from_descriptor(data["potential"])
     return discretize_reference(pot, int(data["n"]), tuple(data["bounds"]))
 

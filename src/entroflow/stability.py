@@ -10,7 +10,7 @@ metric-convergence equivalences used throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import log_ndtr, logsumexp
@@ -23,7 +23,10 @@ from .measures import (
     NormSpec,
     QuadraticPotential,
     ReferenceMeasure,
+    affine_max,
     discretize_reference,
+    entropy_duality_bound,
+    grid_measure,
     quadratic,
     rebin_measure,
     relative_entropy,
@@ -32,7 +35,6 @@ from .measures import (
     tabulated,
 )
 from .jko import JkoConfig, QuantileLattice, jko_trajectory
-from .measures import entropy_duality_bound, grid_measure
 from .report import CheckReport
 from .transport import w2, w2_quantile_knots
 
@@ -63,16 +65,8 @@ class ReferenceSequence:
 
     def weak_convergence_gaps(self) -> np.ndarray:
         """Sup over a bounded-Lipschitz dictionary of integral gaps per member."""
-        dictionary = bounded_lipschitz_dictionary()
-        gaps = []
-        for member in self.members:
-            worst = 0.0
-            for f in dictionary:
-                a = float(np.dot(member.weights, f(member.grid)))
-                b = float(np.dot(self.limit.weights, f(self.limit.grid)))
-                worst = max(worst, abs(a - b))
-            gaps.append(worst)
-        return np.asarray(gaps)
+        members = [(m.grid, m.weights) for m in self.members]
+        return _weak_gaps(members, (self.limit.grid, self.limit.weights))
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +91,7 @@ def affine_envelope_potential(base: ConvexPotential, points) -> AffineMaxPotenti
     pts = np.asarray(points, dtype=float)
     vals = base.value(pts)
     slopes = base.drift(pts)
-    pieces = [(float(s), float(v - s * p)) for p, v, s in zip(pts, vals, slopes)]
-    pot = AffineMaxPotential.from_pieces(pieces)
-    pot.check_integrable()
-    return pot
+    return affine_max([(float(s), float(v - s * p)) for p, v, s in zip(pts, vals, slopes)])
 
 
 def _envelope_tangency_points(base: ConvexPotential, n: int) -> np.ndarray:
@@ -250,6 +241,18 @@ def bounded_lipschitz_dictionary(size: int = 64):
     return fns
 
 
+def _weak_gaps(measures, limit) -> np.ndarray:
+    """Per measure, the sup over the bounded-Lipschitz dictionary of |int f dmu - int f dlimit|.
+
+    Measures and the limit are (points, weights) pairs.
+    """
+    dictionary = bounded_lipschitz_dictionary()
+    ref = [float(np.dot(limit[1], f(limit[0]))) for f in dictionary]
+    return np.asarray(
+        [max([0.0] + [abs(float(np.dot(w, f(x))) - b) for f, b in zip(dictionary, ref)]) for x, w in measures]
+    )
+
+
 # ---------------------------------------------------------------------------
 # Entropy convergence
 # ---------------------------------------------------------------------------
@@ -294,15 +297,13 @@ def gamma_convergence_check(
     """
     clip = 30.0
     report = CheckReport()
+    member = seq.members[-1]
     for p_idx, probe in enumerate(probes):
         h_limit = relative_entropy(probe, seq.limit)
+        probe_n = rebin_measure(probe, member)
         if not math.isfinite(h_limit):
-            h_last = relative_entropy(
-                rebin_measure(probe, seq.members[-1]), seq.members[-1]
-            )
-            h_first = relative_entropy(
-                rebin_measure(probe, seq.members[0]), seq.members[0]
-            )
+            h_last = relative_entropy(probe_n, member)
+            h_first = relative_entropy(rebin_measure(probe, seq.members[0]), seq.members[0])
             report.add(
                 f"probe{p_idx}_divergence_trend",
                 h_first,
@@ -313,16 +314,10 @@ def gamma_convergence_check(
             continue
 
         s_fn, log_rho = _density_vs_limit(probe, seq.limit, clip)
-        witness_limit = float(
-            np.dot(probe.weights, np.clip(log_rho[seq.limit.locate(probe.x)], -clip, clip))
-            - np.dot(seq.limit.weights, np.expm1(log_rho))
-        )
+        witness_limit = entropy_duality_bound(probe, seq.limit, log_rho)
         # witness value under the last member certifies the liminf side
-        member = seq.members[-1]
-        value_n = entropy_duality_bound(
-            rebin_measure(probe, member), member, s_fn
-        )
-        h_n = relative_entropy(rebin_measure(probe, member), member)
+        value_n = entropy_duality_bound(probe_n, member, s_fn)
+        h_n = relative_entropy(probe_n, member)
         report.add(
             f"probe{p_idx}_liminf_witness_certifies",
             value_n,
@@ -340,9 +335,8 @@ def gamma_convergence_check(
 
         # recovery (limsup) side
         best_gap = math.inf
+        rho_member = np.exp(s_fn(member.grid))
         for eps in (0.1, 0.01):
-            member = seq.members[-1]
-            rho_member = np.exp(s_fn(member.grid))
             g = np.exp(-eps * member.grid**2) * rho_member
             w = member.weights * g
             if w.sum() <= 0:
@@ -401,7 +395,7 @@ def flow_stability_run(
         lo, hi = lat.domain
         a = min(max(centre - 0.5 * h, lo), hi - h)  # left edge of the law
         edges = a + h * lat.levels
-        traj = jko_trajectory(gamma, None, cfg.with_tau(cfg.tau / s), T / s, lattice=lat, initial_edges=edges)
+        traj = jko_trajectory(gamma, None, replace(cfg, tau=cfg.tau / s), T / s, lattice=lat, initial_edges=edges)
         return lat, traj
 
     lat_limit, traj_limit = flow(seq.limit, x)
@@ -449,20 +443,14 @@ def moments_convergence_check(
     All three gap ladders are computed numerically; convergence of the
     first two is equivalent to convergence of the third.
     """
-    dictionary = bounded_lipschitz_dictionary()
-    weak, mom, wass = [], [], []
+    weak = _weak_gaps([(m.x, m.weights) for m in mu_seq], (mu.x, mu.weights))
+    mom, wass = [], []
     m_ref = second_moment(mu)
     for i, m in enumerate(mu_seq):
-        worst = 0.0
-        for f in dictionary:
-            a = float(np.dot(m.weights, f(m.x)))
-            b = float(np.dot(mu.weights, f(mu.x)))
-            worst = max(worst, abs(a - b))
-        weak.append(worst)
         norm = norms[i] if norms is not None else None
         mom.append(abs(second_moment(m, norm) - m_ref))
         wass.append(w2(m, mu))
-    weak, mom, wass = map(np.asarray, (weak, mom, wass))
+    mom, wass = map(np.asarray, (mom, wass))
     return MomentsConvergenceResult(
         weak_gaps=weak,
         moment_gaps=mom,

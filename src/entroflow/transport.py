@@ -33,7 +33,6 @@ __all__ = [
     "interpolate_from_base",
     "cyclical_monotonicity_check",
     "MonotonicityResult",
-    "project_norm",
 ]
 
 MARGINAL_TOL = 1e-9
@@ -51,8 +50,7 @@ class Coupling:
     """Sparse transport plan between two discrete measures.
 
     ``rows``/``cols`` index atoms of the source and target supports;
-    ``masses`` are the plan entries. ``potentials`` optionally carries the
-    Kantorovich duals (phi on the source, psi on the target).
+    ``masses`` are the plan entries.
     """
 
     rows: np.ndarray
@@ -61,7 +59,6 @@ class Coupling:
     cost: float
     source: np.ndarray  # (n, k) support of the first marginal
     target: np.ndarray  # (m, k)
-    potentials: tuple[np.ndarray, np.ndarray] | None = None
 
     def marginal_violation(self, mu_w: np.ndarray, nu_w: np.ndarray) -> float:
         row_sums = np.zeros(len(mu_w))
@@ -132,74 +129,6 @@ def _monotone_plan(xa, wa, xb, wb):
     return ia, ib, mass, cost
 
 
-def _chain_duals(xa, xb, ia, ib):
-    """Kantorovich potentials along the monotone plan's staircase.
-
-    Consecutive plan segments share an atom on one side; where both sides
-    advance at once the chain is bridged through the virtual pair
-    (previous source atom, new target atom), which is the spanning tree of
-    the north-west corner basis. Returns (beta on a-side, alpha on b-side);
-    entries stay NaN for atoms that never enter the plan.
-    """
-
-    k = len(ia)
-    da = np.diff(ia) > 0
-    db = np.diff(ib) > 0
-    both = da & db
-    # expand the segment list with virtual pairs where both indices advanced
-    reps = np.ones(k, dtype=int)
-    reps[1:][both] = 2
-    pos = np.repeat(np.arange(k), reps)
-    ia_c = ia[pos].copy()
-    ib_c = ib[pos].copy()
-    first_of_pair = np.concatenate([[True], np.diff(pos) > 0])
-    virt = first_of_pair & (np.concatenate([[False], both])[pos])
-    ia_c[virt] = ia[pos[virt] - 1]  # virtual pair: previous a, new b
-
-    d = xa[ia_c] - xb[ib_c]
-    c = d * d
-    dc = np.diff(c)
-    new_b = np.concatenate([[True], np.diff(ib_c) > 0])
-    # invariant: beta(current a) + alpha(current b) = c along the chain;
-    # each cost increment goes to the side that just changed
-    b_val = np.concatenate([[c[0]], c[0] + np.cumsum(np.where(new_b[1:], dc, 0.0))])
-    a_val = np.concatenate([[0.0], np.cumsum(np.where(new_b[1:], 0.0, dc))])
-
-    alpha = np.full(len(xb), np.nan)
-    beta = np.full(len(xa), np.nan)
-    alpha[ib_c[new_b]] = b_val[new_b]
-    beta[ia_c[~new_b]] = a_val[~new_b]
-    beta[ia_c[0]] = 0.0
-    return beta, alpha
-
-
-def _fill_missing_alpha(xa, beta, xb, alpha):
-    """c-transform alpha_j = min_i (c_ij - beta_i) for unset target atoms."""
-    missing = np.flatnonzero(np.isnan(alpha))
-    if len(missing) == 0:
-        return alpha
-    known = ~np.isnan(beta)
-    xa_k, beta_k = xa[known], beta[known]
-    for j in missing:
-        d = xa_k - xb[j]
-        alpha[j] = np.min(d * d - beta_k)
-    return alpha
-
-
-def monotone_coupling_with_duals(xa, wa, xb, wb):
-    """Monotone plan plus optimal potentials (beta on a, alpha on b).
-
-    The potentials satisfy alpha_j + beta_i <= c_ij with equality on the
-    plan's support, so alpha is a subgradient of nu -> W2^2(nu, mu) at the
-    b-side weights.
-    """
-    ia, ib, mass, cost = _monotone_plan(xa, wa, xb, wb)
-    beta, alpha = _chain_duals(xa, xb, ia, ib)
-    beta = np.where(np.isnan(beta), 0.0, beta)  # zero-mass source atoms
-    alpha = _fill_missing_alpha(xa, beta, xb, alpha)
-    return ia, ib, mass, cost, beta, alpha
-
-
 def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact 1-D quadratic Wasserstein distance via the quantile coupling.
 
@@ -211,7 +140,7 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     # the factory already sorts and merges atoms and keeps positive weights
     xa, wa = mu.x, mu.weights
     xb, wb = nu.x, nu.weights
-    ia, ib, mass, cost, beta, alpha = monotone_coupling_with_duals(xa, wa, xb, wb)
+    ia, ib, mass, cost = _monotone_plan(xa, wa, xb, wb)
     coupling = Coupling(
         rows=ia,
         cols=ib,
@@ -219,7 +148,6 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
         cost=cost,
         source=mu.support,
         target=nu.support,
-        potentials=(beta, alpha),
     )
     return TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling)
 
@@ -261,7 +189,6 @@ def w2_lp(
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n, m)
     rows, cols = np.nonzero(plan > 1e-15)
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
     coupling = Coupling(
         rows=rows,
         cols=cols,
@@ -269,7 +196,6 @@ def w2_lp(
         cost=float(res.fun),
         source=mu.support,
         target=nu.support,
-        potentials=(duals[:n], duals[n:]),
     )
     return TransportResult(distance=math.sqrt(max(res.fun, 0.0)), coupling=coupling)
 
@@ -534,11 +460,6 @@ def cyclical_monotonicity_check(
             violations += 1
             worst = max(worst, gap)
     return MonotonicityResult(violations=violations, trials=trials, worst_gap=worst)
-
-
-def project_norm(h, norm_seq: list[NormSpec], n: int) -> float:
-    """Norm of h in the n-th member of a norm family."""
-    return float(norm_seq[n].norm(np.asarray(h, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

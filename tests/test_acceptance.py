@@ -164,7 +164,7 @@ def test_criterion_05_uniform_approximation_constant(ou_gamma, quartic_gamma):
     for gamma, horizon in ((ou_gamma, 1.0), (quartic_gamma, 0.5)):
         lat = QuantileLattice(gamma)
         mu0 = ef.gaussian_on_grid(gamma, 1.0, 0.5)
-        fine = ef.refine_trajectory(gamma, mu0, 0.01, 4, horizon).finest
+        fine = ef.refine_trajectory(gamma, mu0, 0.01, 4, horizon).trajectories[-1]
         h0 = fine.entropies[0]
         for tau in (0.1, 0.05, 0.01):
             traj = ef.jko_trajectory(gamma, mu0, ef.JkoConfig(tau=tau), horizon, lattice=lat)
@@ -191,7 +191,7 @@ def test_criterion_06_per_step_inequalities(ou_traj, ou_gamma, rng):
     evi_worst = ou_traj.evi_residuals.max()
     for _ in range(20):
         nu = random_grid_measure(ou_gamma, rng)
-        res = ef.evi_residual_profile(ou_traj, nu, ou_gamma)
+        res = ef.evi_residual_profile(ou_traj, nu)
         evi_worst = max(evi_worst, float(res.max()))
         assert np.all(res <= 1e-8)
     # Hoelder-1/2 bound: consecutive pairs, a coarse all-pairs grid, random pairs

@@ -99,6 +99,21 @@ class TestBoundaryMeasure:
         assert sigma.density[i] == pytest.approx(x * math.exp(-0.5 * x * x), abs=1e-4)
         assert not sigma.atoms
 
+    def test_integrate_calls_f_once_per_atom(self):
+        sigma = dr.boundary_measure_1d(ef.box(-1.0, 1.5, ef.quadratic(1.0)))
+        assert len(sigma.atoms) == 2
+        calls = []
+
+        def f(x):
+            calls.append(np.shape(x))
+            return np.sin(x)
+
+        got = sigma.integrate(f)
+        assert calls == [sigma.centers.shape] + [(1,)] * len(sigma.atoms)
+        want = np.dot(np.sin(sigma.centers) * sigma.widths, sigma.density)
+        want += sum(mass * math.sin(loc) for loc, mass in sigma.atoms)
+        assert got == pytest.approx(want, rel=1e-14)
+
     def test_shifted_abs(self):
         sigma = dr.boundary_measure_1d(ef.abs_potential(1.0, 1.0))
         assert sigma.total_variation == pytest.approx(2.0 * math.exp(-1.0), abs=1e-9)
@@ -199,6 +214,21 @@ class TestBoundaryConvergence:
         for pot, tv in zip(pots, tvs):
             assert tv == pytest.approx(2.0 * math.exp(-pot.min_value()), abs=1e-6)
         assert tvs[-1] == pytest.approx(2.0, abs=0.05)
+
+    @pytest.mark.parametrize("inner", [None, ef.quadratic(1.0)], ids=["bare", "quadratic"])
+    def test_shrinking_boxes(self, inner):
+        # the walls give every boundary measure two atoms
+        pots = [ef.box(-1.0 - 1.0 / n, 1.0 + 1.0 / n, inner) for n in (16, 64, 256)]
+        report = dr.boundary_convergence_check(pots, ef.box(-1.0, 1.0, inner))
+        assert report.passed, str(report)
+        weak = next(item for item in report.items if item.check_id == "weak_convergence")
+        assert 0.0 < weak.value < 0.005
+
+    def test_coarse_boxes_miss_weak_convergence(self):
+        # the last member's walls sit 1/64 out: its atoms still weigh against the limit's
+        pots = [ef.box(-1.0 - 1.0 / n, 1.0 + 1.0 / n) for n in (4, 16, 64)]
+        report = dr.boundary_convergence_check(pots, ef.box(-1.0, 1.0))
+        assert [item.check_id for item in report.failures()] == ["weak_convergence"]
 
     def test_constant_sequence(self):
         base = ef.quadratic(1.0)

@@ -270,7 +270,7 @@ class TestSemigroup:
         for j in range(gamma.n):
             row = np.zeros(gamma.n)
             if gamma.weights[j] > 0:
-                mu = ef.transition_measure(gamma, float(gamma.grid[j]), 0.05, cfg)
+                mu = ef.transition_trajectory(gamma, float(gamma.grid[j]), 0.05, cfg).measure_at(0.05)
                 row[gamma.locate(mu.x)] = mu.weights
             else:
                 row[j] = 1.0

@@ -439,3 +439,55 @@ class TestCliContract:
                     assert default != "required" and not default.startswith("`{"), (command, field)
                 documented.add((command, field))
         assert documented == {(c, f) for c, fields in _SCHEMAS.items() for f in fields}
+
+
+# every subcommand on every catalog kind: n=100 (200 for dirichlet), tau=0.01, horizon 0.1
+CATALOG = {
+    "quadratic": {"kind": "quadratic", "a": 1.0},
+    "quartic": {"kind": "quartic", "a": 1.0},
+    "abs": {"kind": "abs", "a": 1.0},
+    "box": {"kind": "box", "lo": 0.0, "hi": 1.0},
+    "box_abs": {"kind": "box", "lo": -1.0, "hi": 1.5, "inner": {"kind": "abs", "a": 2.0}},
+    "affine_max": {"kind": "affine_max", "pieces": [[-3, 0], [1.5, 0], [6, -3]]},
+    "tabulated": {
+        "kind": "tabulated",
+        "xs": np.linspace(-3.0, 3.0, 13).tolist(),
+        "vals": (np.abs(np.linspace(-3.0, 3.0, 13)) ** 1.5 / 2.0).tolist(),
+    },
+}
+MATRIX_RUNS = {  # run id -> (subcommand, config fields beyond the shared ones)
+    "flow_gamma": ("flow", {}),
+    "flow_dirac": ("flow", {"initial": {"kind": "dirac", "x": 0.5}}),
+    "step": ("step", {"initial": {"kind": "gaussian", "mean": 0.5, "std": 0.25}}),
+    "transition": ("transition", {"x": 0.5, "t": 0.1}),
+    "fp": ("fp", {"initial": {"kind": "gaussian", "mean": 0.5, "std": 0.25}, "oracle": {"dt": 1e-3}}),
+    "sde": ("sde", {"x": 0.5, "oracle": {"dt": 1e-3, "paths": 2000}}),
+    "dirichlet": ("dirichlet", {"grid": {"n": 200}}),
+}
+MATRIX_FAILURES = {
+    ("flow_gamma", "abs"): "holder_half: the grid reference is not the lattice entropy's minimizer",
+    ("flow_gamma", "box_abs"): "holder_half: the grid reference is not the lattice entropy's minimizer",
+    ("dirichlet", "box"): "slope_sharpness: the one-sided end-cell gradient pushes a centre past the wall",
+    ("dirichlet", "tabulated"): "slope_sharpness: achieved ratio 0.2016 below the bound 0.225",
+}
+
+
+@pytest.mark.parametrize(
+    "run,reference",
+    [
+        pytest.param(
+            run,
+            ref,
+            id=f"{run}-{ref}",
+            marks=[pytest.mark.xfail(strict=True, reason=MATRIX_FAILURES[run, ref])]
+            if (run, ref) in MATRIX_FAILURES
+            else [],
+        )
+        for run in MATRIX_RUNS
+        for ref in CATALOG
+    ],
+)
+def test_catalog_matrix(tmp_path, run, reference):
+    command, fields = MATRIX_RUNS[run]
+    cfg = {"potential": CATALOG[reference], "grid": {"n": 100}, "jko": {"tau": 0.01}, "horizon": 0.1, **fields}
+    assert cli_main([command, _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 0

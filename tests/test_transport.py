@@ -12,7 +12,6 @@ import entroflow.transport as tr
 from entroflow.transport import (
     atomic_quantile_knots,
     histogram_quantile_knots,
-    monotone_coupling_with_duals,
     w2_knots_to_gaussian,
     w2_quantile_knots,
 )
@@ -40,18 +39,6 @@ class TestExact1d:
         a, b = random_atomic(rng), random_atomic(rng)
         res = ef.w2_exact_1d(a, b)
         assert res.coupling.marginal_violation(a.weights, b.weights) < 1e-12
-
-    def test_quantile_duals_match_lp(self, rng):
-        for _ in range(25):
-            a, b = random_atomic(rng), random_atomic(rng, shift=rng.normal())
-            _, _, _, cost, beta, alpha = monotone_coupling_with_duals(
-                a.x, a.weights, b.x, b.weights
-            )
-            dual_value = np.dot(a.weights, beta) + np.dot(b.weights, alpha)
-            assert dual_value == pytest.approx(cost, abs=1e-9)
-            # feasibility of the potentials
-            c = (a.x[:, None] - b.x[None, :]) ** 2
-            assert np.max(alpha[None, :] + beta[:, None] - c) < 1e-9
 
 
 class TestLp:
@@ -82,6 +69,11 @@ class TestLp:
         mu = ef.DiscreteMeasure.from_atoms(pts, w)
         nu = ef.DiscreteMeasure.from_atoms(pts + np.array([1.0, -2.0]), w)
         assert ef.w2_lp(mu, nu).distance == pytest.approx(math.sqrt(5.0), abs=1e-9)
+
+    def test_w2_dispatches_to_lp_in_two_dimensions(self, rng):
+        a = ef.DiscreteMeasure.from_atoms(rng.normal(size=(12, 2)), rng.dirichlet(np.ones(12)))
+        b = ef.DiscreteMeasure.from_atoms(rng.normal(size=(9, 2)) + 1.0, rng.dirichlet(np.ones(9)))
+        assert ef.w2(a, b) == ef.w2_lp(a, b).distance
 
     def test_weighted_norm_cost(self, rng):
         a, b = random_atomic(rng, n=15), random_atomic(rng, n=17)
@@ -233,6 +225,19 @@ class TestDisplacementInterpolation:
             assert np.allclose(got.x, target.x)
             assert np.allclose(got.weights, target.weights)
 
+    def test_endpoints_two_dimensional(self, rng):
+        # the LP plan's branch
+        a, b = (
+            ef.DiscreteMeasure.from_atoms(rng.normal(size=(n, 2)) + shift, rng.dirichlet(np.ones(n)))
+            for n, shift in ((12, 0.0), (9, 1.0))
+        )
+        for t, target in ((0.0, a), (1.0, b)):
+            got = ef.displacement_interpolate(a, b, t)
+            assert got.n == target.n
+            assert np.allclose(got.support, target.support)
+            assert np.allclose(got.weights, target.weights)
+            assert ef.w2(got, target) == pytest.approx(0.0, abs=1e-9)
+
     def test_gaussian_midpoint(self, gaussian_ref):
         # translation geodesic: midpoint of N(0,1)->N(2,1) is N(1,1); the
         # shift is a whole number of cells, so the discretized target is hit
@@ -332,10 +337,10 @@ class TestNormProjection:
         seq = [ef.NormSpec.scaled_identity(1.0 + 1.0 / n, 2) for n in range(1, 40)]
         h = np.array([1.0, 0.0])
         for n in (0, 5, 20):
-            assert ef.project_norm(h, seq, n) == pytest.approx(
+            assert seq[n].norm(h) == pytest.approx(
                 math.sqrt(1.0 + 1.0 / (n + 1))
             )
-        assert abs(ef.project_norm(h, seq, 38) - 1.0) < 0.02
+        assert abs(seq[38].norm(h) - 1.0) < 0.02
 
     def test_norm_equivalence_on_transport(self, rng):
         spec = ef.NormSpec.from_matrix([[2.5]])
