@@ -20,7 +20,41 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
-from .report import CheckReport
+# set before numpy first loads, below: OpenBLAS and OpenMP read their thread counts then
+if os.environ.get("ENTROFLOW_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["ENTROFLOW_THREADS"])
+
+import numpy as np  # noqa: E402
+
+from . import __version__, measures as ms  # noqa: E402
+from .dirichlet import (  # noqa: E402
+    boundary_measure_1d,
+    integration_by_parts_check,
+    slope_variational_check,
+)
+from .jko import (  # noqa: E402
+    UNIFORM_APPROX_CONSTANT,
+    JkoConfig,
+    QuantileLattice,
+    dirac_transport_cost,
+    estimate_checks,
+    jko_step_detailed,
+    jko_trajectory,
+    transition_trajectory,
+)
+from .oracles import fp_solve, reversibility_check, sde_simulate  # noqa: E402
+from .report import CheckReport  # noqa: E402
+from .serialize import (  # noqa: E402
+    load_config,
+    write_csv,
+    write_manifest,
+    write_measure_csv,
+    write_reference,
+    write_trajectory_csv,
+)
+from .stability import build_sequence, flow_stability_run, gamma_convergence_check  # noqa: E402
+from .transport import w2_exact_1d, w2_knots_to_gaussian, w2_lp  # noqa: E402
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -174,17 +208,13 @@ def _given(**kwargs) -> dict:
 
 
 def _potential(c: dict):
-    from .measures import potential_from_descriptor
-
     try:
-        return potential_from_descriptor(c["potential"])
+        return ms.potential_from_descriptor(c["potential"])
     except ValueError as exc:
         raise ConfigError("potential", str(exc)) from exc
 
 
 def _reference(c: dict):
-    from . import measures as ms
-
     pot = _potential(c)
     bounds = c["grid.bounds"] or ms.suggested_bounds(pot)
     try:
@@ -194,8 +224,6 @@ def _reference(c: dict):
 
 
 def _initial(c: dict, gamma):
-    from . import measures as ms
-
     desc = c["initial"]
     if desc["kind"] == "gaussian":
         try:
@@ -207,9 +235,14 @@ def _initial(c: dict, gamma):
     return gamma.as_measure()
 
 
-def _jko_config(c: dict):
-    from .jko import JkoConfig
+def _horizon(c: dict, path: str) -> float:
+    """The flow horizon at ``path``, which must hold at least one step of ``jko.tau``."""
+    if c[path] < c["jko.tau"]:
+        raise ConfigError(path, "expected at least jko.tau (one step)")
+    return c[path]
 
+
+def _jko_config(c: dict):
     return JkoConfig(
         **_given(tau=c["jko.tau"], inner_tol=c["jko.inner_tol"], max_inner_iters=c["jko.max_inner_iters"])
     )
@@ -219,18 +252,15 @@ def _jko_config(c: dict):
 # Subcommands: each returns its check report and its own manifest entries
 # ---------------------------------------------------------------------------
 def _cmd_flow(c, outdir, seed, tol_scale):
-    import numpy as np
-
-    from .jko import UNIFORM_APPROX_CONSTANT, estimate_checks, jko_trajectory
-    from .serialize import write_measure_csv, write_reference, write_trajectory_csv
-
+    horizon = _horizon(c, "horizon")
+    times = c["times"] if c["times"] is not None else [horizon]
+    if not all(0 <= t <= horizon for t in times):
+        raise ConfigError("times", "expected times in [0, horizon]")
     gamma = _reference(c)
-    horizon = c["horizon"]
     traj = jko_trajectory(gamma, _initial(c, gamma), _jko_config(c), horizon)
 
     write_reference(outdir / "reference", gamma)
     write_trajectory_csv(outdir / "trajectory.csv", traj)
-    times = c["times"] if c["times"] is not None else [horizon]
     for t in times:
         write_measure_csv(outdir / f"measure_t{t:g}.csv", traj.measure_at(float(t)))
 
@@ -245,9 +275,6 @@ def _cmd_flow(c, outdir, seed, tol_scale):
 
 
 def _cmd_step(c, outdir, seed, tol_scale):
-    from .jko import jko_step_detailed
-    from .serialize import write_measure_csv
-
     gamma = _reference(c)
     mu = _initial(c, gamma)
     jcfg = _jko_config(c)
@@ -260,11 +287,8 @@ def _cmd_step(c, outdir, seed, tol_scale):
 
 
 def _cmd_transition(c, outdir, seed, tol_scale):
-    from .jko import dirac_transport_cost, transition_trajectory
-    from .serialize import write_measure_csv
-
+    t = _horizon(c, "t")
     gamma = _reference(c)
-    t = c["t"]
     traj = transition_trajectory(gamma, c["x"], t, _jko_config(c))
     write_measure_csv(outdir / "transition.csv", traj.measure_at(t))
     report = CheckReport()
@@ -275,15 +299,13 @@ def _cmd_transition(c, outdir, seed, tol_scale):
 
 
 def _cmd_fp(c, outdir, seed, tol_scale):
-    from .oracles import fp_solve
-    from .serialize import _csv_text, atomic_write_text
-
+    if c["grid.n"] < 3:
+        raise ConfigError("grid.n", "expected an integer of at least 3 (the fp stencil)")
     gamma = _reference(c)
     dt = c["oracle.dt"]
     sol = fp_solve(gamma.potential, _initial(c, gamma), c["horizon"], dt, grid=gamma.grid)
     header = ["t"] + [f"{x:.17g}" for x in sol.grid.tolist()]
-    rows = ([t] + dens.tolist() for t, dens in zip(sol.times.tolist(), sol.densities))
-    atomic_write_text(outdir / "fp_densities.csv", _csv_text(header, rows))
+    write_csv(outdir / "fp_densities.csv", header, np.column_stack([sol.times, sol.densities]))
     report = CheckReport()
     report.add("mass_conserved", float(abs(sol.densities[-1].sum() - 1.0)), 0.0, 1e-9)
     report.add("nonnegative", float(-sol.min_density), 0.0, 1e-10)
@@ -291,15 +313,10 @@ def _cmd_fp(c, outdir, seed, tol_scale):
 
 
 def _cmd_sde(c, outdir, seed, tol_scale):
-    from .oracles import sde_simulate
-    from .serialize import _csv_text, atomic_write_text
-
     gamma = _reference(c)
     dt, n_paths = c["oracle.dt"], c["oracle.paths"]
     sample = sde_simulate(gamma.potential, c["x"], c["horizon"], dt, n_paths, seed)
-    atomic_write_text(
-        outdir / "sde_terminal.csv", _csv_text(["terminal"], sample.terminal_points[:, None])
-    )
+    write_csv(outdir / "sde_terminal.csv", ["terminal"], sample.terminal_points[:, None])
     report = CheckReport()
     lo, hi = gamma.potential.finite_interval()
     if math.isfinite(lo) and math.isfinite(hi):
@@ -311,10 +328,7 @@ def _cmd_sde(c, outdir, seed, tol_scale):
 
 
 def _cmd_stability(c, outdir, seed, tol_scale):
-    from . import measures as ms
-    from .serialize import _csv_text, atomic_write_text
-    from .stability import build_sequence, flow_stability_run, gamma_convergence_check
-
+    horizon = _horizon(c, "horizon")
     base = _potential(c)
     try:
         seq = build_sequence(c["sequence.kind"], base, **_given(ns=c["sequence.ns"], grid_n=c["grid.n"]))
@@ -323,10 +337,10 @@ def _cmd_stability(c, outdir, seed, tol_scale):
 
     x = c["x"]
     gap_tol = _given(final_gap_tol=c["tolerances.flow_gap"])
-    res = flow_stability_run(seq, [x] * len(seq.members), x, c["horizon"], _jko_config(c), **gap_tol)
+    res = flow_stability_run(seq, [x] * len(seq.members), x, horizon, _jko_config(c), **gap_tol)
     # str(n) echoes each n as configured, also when it was given as a float
     rows = [(str(n), float(g)) for n, g in zip(seq.ns, res.gaps)]
-    atomic_write_text(outdir / "stability_gaps.csv", _csv_text(["n", "gap"], rows))
+    write_csv(outdir / "stability_gaps.csv", ["n", "gap"], rows)
     report = res.report
     probe = ms.gaussian_on_grid(seq.limit, 0.25, 0.5)
     report.extend(gamma_convergence_check(seq, [probe], **_given(tol=c["tolerances.gamma_gap"])))
@@ -334,21 +348,14 @@ def _cmd_stability(c, outdir, seed, tol_scale):
 
 
 def _cmd_dirichlet(c, outdir, seed, tol_scale):
-    import numpy as np
-
-    from .dirichlet import boundary_measure_1d, integration_by_parts_check, slope_variational_check
-    from .serialize import _csv_text, atomic_write_text
-
     gamma = _reference(c)
     report = CheckReport()
 
     sigma = boundary_measure_1d(gamma.potential)
     expected_tv = 2.0 * math.exp(-gamma.potential.min_value())
     report.add("boundary_tv_identity", abs(sigma.total_variation - expected_tv), 0.0, c["tolerances.tv"])
-    rows = zip(sigma.centers.tolist(), sigma.widths.tolist(), sigma.density.tolist())
-    atomic_write_text(
-        outdir / "boundary_density.csv", _csv_text(["center", "width", "density"], rows)
-    )
+    rows = np.column_stack([sigma.centers, sigma.widths, sigma.density])
+    write_csv(outdir / "boundary_density.csv", ["center", "width", "density"], rows)
 
     ibp = integration_by_parts_check(gamma.potential, np.sin, np.cos)
     report.add("integration_by_parts_gap", ibp.gap, 0.0, c["tolerances.ibp"])
@@ -362,14 +369,6 @@ def _cmd_dirichlet(c, outdir, seed, tol_scale):
 
 
 def _cmd_check_all(c, outdir, seed, tol_scale):
-    import numpy as np
-
-    from . import measures as ms
-    from .dirichlet import boundary_measure_1d, slope_variational_check
-    from .jko import JkoConfig, QuantileLattice, jko_trajectory
-    from .oracles import fp_solve, reversibility_check
-    from .transport import w2_exact_1d, w2_knots_to_gaussian, w2_lp
-
     rng = np.random.default_rng(seed)
     report = CheckReport()
 
@@ -441,19 +440,13 @@ _COMMANDS = {
 
 
 def _write_manifest(outdir: Path, name: str, manifest: dict) -> None:
-    from .serialize import write_manifest
-
     manifest["created_at"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     write_manifest(outdir / f"{name}_manifest.json", manifest)
 
 
 def run(command: str, config_path: str | None, out: str | None, seed: int | None, tol_scale: float) -> int:
-    from . import __version__
-
     cfg = {}
     if config_path is not None:
-        from .serialize import load_config
-
         try:
             cfg = load_config(config_path)
         except (OSError, json.JSONDecodeError) as exc:
@@ -499,11 +492,6 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("ENTROFLOW_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
-
     parser = argparse.ArgumentParser(
         prog="entroflow",
         description="entropy gradient flows over log-concave references",

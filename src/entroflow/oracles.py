@@ -15,6 +15,7 @@ import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
 
+from .dirichlet import discrete_lipschitz
 from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure
 from .jko import JkoConfig, QuantileLattice, _flow_end
 
@@ -416,9 +417,5 @@ def lip_contraction_check(
     f = np.asarray(f_values, dtype=float)
     if len(f) != gamma.n:
         raise ValueError("grid function must match gamma's grid")
-    # imported here: the dirichlet module loads the transport layer (scipy.optimize),
-    # which the rest of the oracles never needs
-    from .dirichlet import discrete_lipschitz
-
     pf = semigroup_matrix(gamma, t) @ f
     return LipContractionResult(lip_before=discrete_lipschitz(f, gamma), lip_after=discrete_lipschitz(pf, gamma))

@@ -20,6 +20,7 @@ from .transport import Coupling
 
 __all__ = [
     "atomic_write_text",
+    "write_csv",
     "write_measure_csv",
     "read_measure_csv",
     "write_reference",
@@ -74,9 +75,14 @@ def _csv_text(header: list[str], rows) -> str:
     return "\n".join(out)
 
 
+def write_csv(path, header: list[str], rows) -> None:
+    """Write ``rows`` under ``header`` as CSV, formatted as ``_csv_text`` does."""
+    atomic_write_text(Path(path), _csv_text(header, rows))
+
+
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
     header = [f"coord_{i + 1}" for i in range(mu.dim)] + ["weight"]
-    atomic_write_text(Path(path), _csv_text(header, np.column_stack([mu.support, mu.weights])))
+    write_csv(path, header, np.column_stack([mu.support, mu.weights]))
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
@@ -95,7 +101,7 @@ def write_reference(path_base, gamma: ReferenceMeasure) -> None:
     """CSV of grid weights plus a JSON sidecar with the construction data."""
     base = Path(path_base)
     rows = np.column_stack([gamma.grid, gamma.weights])
-    atomic_write_text(base.with_suffix(".csv"), _csv_text(["coord_1", "weight"], rows))
+    write_csv(base.with_suffix(".csv"), ["coord_1", "weight"], rows)
     sidecar = {
         "potential": gamma.potential.descriptor(),
         "bounds": [gamma.bounds[0], gamma.bounds[1]],
@@ -119,7 +125,7 @@ def write_coupling_csv(path, coupling: Coupling) -> None:
         (int(i), int(j), float(m))
         for i, j, m in zip(coupling.rows, coupling.cols, coupling.masses)
     ]
-    atomic_write_text(Path(path), _csv_text(["i", "j", "mass"], rows))
+    write_csv(path, ["i", "j", "mass"], rows)
 
 
 def write_trajectory_csv(path, traj) -> None:
@@ -130,9 +136,7 @@ def write_trajectory_csv(path, traj) -> None:
         np.concatenate([[0.0], traj.w2_increments]),
         np.concatenate([[0.0], traj.evi_residuals]),
     ])
-    atomic_write_text(
-        Path(path), _csv_text(["t", "entropy", "w2_increment", "evi_max_residual"], rows)
-    )
+    write_csv(path, ["t", "entropy", "w2_increment", "evi_max_residual"], rows)
 
 
 def write_manifest(path, data: dict) -> None:

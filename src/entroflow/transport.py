@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 from scipy.special import logsumexp, ndtr, ndtri
 
 from .measures import DiscreteMeasure, NormSpec
@@ -168,6 +166,10 @@ def w2_lp(
         raise ValueError(f"instance too large for the exact LP ({n}x{m})")
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
+    # the package's one deferred import: the LP stack (about 15 MB) loads only for an LP
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     cost = _cost_matrix(mu.support, nu.support, norm)
 
     row_idx = np.repeat(np.arange(n), m)

@@ -311,11 +311,19 @@ CONFIG_PROBES = [
     ("stability", {"grid": {"n": 1}}, "grid.n"),
     # rejected by the library once the output directory exists (as an unrepresentable initial is, below)
     ("flow", {"grid": {"n": 60, "bounds": [-1, 1]}}, "grid"),
+    # checked against other fields by the subcommand, before its work starts
+    ("flow", {"horizon": 0.01}, "horizon"),
+    ("stability", {"horizon": 0.01}, "horizon"),
+    ("transition", {"t": 0.01}, "t"),
+    ("fp", {"grid": {"n": 2, "bounds": [-8, 8]}}, "grid.n"),
 ]
 PROBE_IDS = [f"{c}-{f}" for c, _, f in CONFIG_PROBES]
 # a grid.n of the right type but too small, beside the wrong-type flow probe above
 CONFIG_PROBES.append(("flow", {"grid": {"n": 1, "bounds": [-8, 8]}}, "grid.n"))
 PROBE_IDS.append("flow-grid.n-too-small")
+# times of the right type outside [0, horizon]
+CONFIG_PROBES += [("flow", {"times": [-0.1]}, "times"), ("flow", {"times": [0.05, 0.5]}, "times")]
+PROBE_IDS += ["flow-times-below-0", "flow-times-past-horizon"]
 
 
 def _write_config(tmp_path, cfg):
