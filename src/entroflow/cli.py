@@ -96,21 +96,16 @@ _KINDS = {  # kind -> (test, what a failing value was expected to be)
     "pairs": (lambda v: _list(v, _KINDS["interval"][0]), "a list of [slope, intercept] number pairs"),
 }
 
-_NUMBER, _REQUIRED_NUMBER = Field("number"), Field("number", True)
+_REQUIRED_NUMBER = Field("number", True)
+_INITIALS = {  # initial kind -> (its fields, the measure it makes on gamma from its config object)
+    "reference": ({}, lambda gamma, d: gamma.as_measure()),
+    "gaussian": ({"mean": _REQUIRED_NUMBER, "std": Field("positive", True)},
+                 lambda gamma, d: ms.gaussian_on_grid(gamma, float(d["mean"]), float(d["std"]))),
+    "dirac": ({"x": _REQUIRED_NUMBER}, lambda gamma, d: ms.dirac_on_grid(gamma, float(d["x"]))),
+}
 _VARIANTS = {  # object kinds whose fields depend on their own "kind" entry
-    "potential": {
-        "quadratic": {"a": _REQUIRED_NUMBER, "m": _NUMBER},
-        "quartic": {"a": _REQUIRED_NUMBER, "b": _NUMBER},
-        "abs": {"a": _REQUIRED_NUMBER, "c": _NUMBER},
-        "box": {"lo": _REQUIRED_NUMBER, "hi": _REQUIRED_NUMBER, "inner": Field("potential")},
-        "affine_max": {"pieces": Field("pairs", True)},
-        "tabulated": {"xs": Field("numbers", True), "vals": Field("numbers", True)},
-    },
-    "initial": {
-        "reference": {},
-        "gaussian": {"mean": _REQUIRED_NUMBER, "std": Field("positive", True)},
-        "dirac": {"x": _REQUIRED_NUMBER},
-    },
+    "potential": {kind: {n: Field(*spec) for n, spec in f.items()} for kind, (_, f) in ms.POTENTIAL_KINDS.items()},
+    "initial": {kind: fields for kind, (fields, _) in _INITIALS.items()},
 }
 
 _FIELDS = {  # every config field, with its one kind and default
@@ -225,14 +220,10 @@ def _reference(c: dict):
 
 def _initial(c: dict, gamma):
     desc = c["initial"]
-    if desc["kind"] == "gaussian":
-        try:
-            return ms.gaussian_on_grid(gamma, float(desc["mean"]), float(desc["std"]))
-        except ValueError as exc:
-            raise ConfigError("initial", str(exc)) from exc
-    if desc["kind"] == "dirac":
-        return ms.dirac_on_grid(gamma, float(desc["x"]))
-    return gamma.as_measure()
+    try:
+        return _INITIALS[desc["kind"]][1](gamma, desc)
+    except ValueError as exc:
+        raise ConfigError("initial", str(exc)) from exc
 
 
 def _horizon(c: dict, path: str) -> float:
@@ -240,6 +231,14 @@ def _horizon(c: dict, path: str) -> float:
     if c[path] < c["jko.tau"]:
         raise ConfigError(path, "expected at least jko.tau (one step)")
     return c[path]
+
+
+def _oracle_dt(c: dict) -> float:
+    """``oracle.dt``, which must divide ``horizon`` into whole steps: the oracles take whole steps of dt."""
+    steps = c["horizon"] / c["oracle.dt"]
+    if round(steps) < 1 or abs(steps - round(steps)) > 1e-9:
+        raise ConfigError("oracle.dt", "expected to divide horizon into a whole number of steps")
+    return c["oracle.dt"]
 
 
 def _jko_config(c: dict):
@@ -301,8 +300,8 @@ def _cmd_transition(c, outdir, seed, tol_scale):
 def _cmd_fp(c, outdir, seed, tol_scale):
     if c["grid.n"] < 3:
         raise ConfigError("grid.n", "expected an integer of at least 3 (the fp stencil)")
+    dt = _oracle_dt(c)
     gamma = _reference(c)
-    dt = c["oracle.dt"]
     sol = fp_solve(gamma.potential, _initial(c, gamma), c["horizon"], dt, grid=gamma.grid)
     header = ["t"] + [f"{x:.17g}" for x in sol.grid.tolist()]
     write_csv(outdir / "fp_densities.csv", header, np.column_stack([sol.times, sol.densities]))
@@ -313,8 +312,8 @@ def _cmd_fp(c, outdir, seed, tol_scale):
 
 
 def _cmd_sde(c, outdir, seed, tol_scale):
+    dt, n_paths = _oracle_dt(c), c["oracle.paths"]
     gamma = _reference(c)
-    dt, n_paths = c["oracle.dt"], c["oracle.paths"]
     sample = sde_simulate(gamma.potential, c["x"], c["horizon"], dt, n_paths, seed)
     write_csv(outdir / "sde_terminal.csv", ["terminal"], sample.terminal_points[:, None])
     report = CheckReport()

@@ -217,10 +217,12 @@ class QuantileLattice:
         """
         if mu.dim != 1:
             raise ValueError("the flow is one-dimensional")
-        if np.any(self.gamma.locate(mu.x) < 0):
+        idx = self.gamma.locate(mu.x)
+        if np.any(idx < 0):
             mu = rebin_measure(mu, self.gamma)
+            idx = self.gamma.locate(mu.x)
         w = np.zeros(self.gamma.n)
-        w[self.gamma.locate(mu.x)] = mu.weights
+        w[idx] = mu.weights
         return self.from_weights(w)
 
     def from_weights(self, weights: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ __all__ = [
     "box",
     "affine_max",
     "tabulated",
+    "POTENTIAL_KINDS",
     "potential_from_descriptor",
     "ReferenceMeasure",
     "discretize_reference",
@@ -150,7 +151,13 @@ class ConvexPotential:
         return len(self.kinks()) == 0
 
     def descriptor(self) -> dict:
-        raise NotImplementedError
+        """JSON descriptor: the kind and each set field of its ``POTENTIAL_KINDS`` row."""
+        out = {"kind": self.kind}
+        for name in POTENTIAL_KINDS[self.kind][1]:
+            val = getattr(self, name)
+            if val is not None:  # an unset box inner is left out
+                out[name] = val.descriptor() if isinstance(val, ConvexPotential) else np.asarray(val).tolist()
+        return out
 
     def antiderivative(self, x) -> np.ndarray:
         """Exact antiderivative of V on the effective domain."""
@@ -203,6 +210,10 @@ class QuadraticPotential(ConvexPotential):
     m: float = 0.0
     kind: str = field(default="quadratic", init=False)
 
+    def __post_init__(self):
+        if self.a <= 0:
+            raise ValueError("quadratic potential needs a > 0")
+
     def value(self, x):
         d = np.asarray(x, dtype=float) - self.m
         return 0.5 * self.a * (d * d)
@@ -218,9 +229,6 @@ class QuadraticPotential(ConvexPotential):
         d = np.asarray(x, dtype=float) - self.m
         return self.a * (d * d * d) / 6.0
 
-    def descriptor(self):
-        return {"kind": "quadratic", "a": self.a, "m": self.m}
-
 
 @dataclass(frozen=True)
 class QuarticPotential(ConvexPotential):
@@ -229,6 +237,10 @@ class QuarticPotential(ConvexPotential):
     a: float
     b: float = 0.0
     kind: str = field(default="quartic", init=False)
+
+    def __post_init__(self):
+        if self.a <= 0 or self.b < 0:
+            raise ValueError("quartic potential needs a > 0, b >= 0")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -248,9 +260,6 @@ class QuarticPotential(ConvexPotential):
         x3 = x2 * x
         return self.a * (x3 * x2) / 20.0 + self.b * x3 / 6.0
 
-    def descriptor(self):
-        return {"kind": "quartic", "a": self.a, "b": self.b}
-
 
 _ABS_KINKS = np.zeros(1)
 _ABS_KINKS.setflags(write=False)
@@ -263,6 +272,10 @@ class AbsPotential(ConvexPotential):
     a: float
     c: float = 0.0
     kind: str = field(default="abs", init=False)
+
+    def __post_init__(self):
+        if self.a <= 0:
+            raise ValueError("abs potential needs a > 0")
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
@@ -283,9 +296,6 @@ class AbsPotential(ConvexPotential):
     def antiderivative(self, x):
         x = np.asarray(x, dtype=float)
         return 0.5 * self.a * x * np.abs(x) + self.c * x
-
-    def descriptor(self):
-        return {"kind": "abs", "a": self.a, "c": self.c}
 
 
 @dataclass(frozen=True)
@@ -350,12 +360,6 @@ class BoxPotential(ConvexPotential):
         if self.inner is None:
             return np.zeros_like(xc)
         return self.inner.antiderivative(xc)
-
-    def descriptor(self):
-        d = {"kind": "box", "lo": self.lo, "hi": self.hi}
-        if self.inner is not None:
-            d["inner"] = self.inner.descriptor()
-        return d
 
 
 @dataclass(frozen=True)
@@ -510,11 +514,10 @@ class AffineMaxPotential(ConvexPotential):
         seg = np.searchsorted(ks, x, side="right")
         return 0.5 * s[seg] * x * x + b[seg] * x + shifts[seg]
 
-    def descriptor(self):
-        return {
-            "kind": "affine_max",
-            "pieces": [[float(s), float(b)] for s, b in zip(self.slopes, self.intercepts)],
-        }
+    @property
+    def pieces(self) -> np.ndarray:
+        """The (slope, intercept) rows, in slope order."""
+        return np.column_stack([self.slopes, self.intercepts])
 
 
 @dataclass(frozen=True)
@@ -530,18 +533,16 @@ class TabulatedPotential(ConvexPotential):
 
     @classmethod
     def from_table(cls, xs, vals) -> "TabulatedPotential":
-        xs = np.asarray(xs, dtype=float)
-        vals = np.asarray(vals, dtype=float)
-        if xs.ndim != 1 or xs.shape != vals.shape or len(xs) < 3:
-            raise ValueError("tabulated potential needs >= 3 aligned samples")
-        if not np.all(np.diff(xs) > 0):
-            raise ValueError("tabulated grid must be strictly increasing")
-        xs, vals = xs.copy(), vals.copy()
+        xs, vals = np.array(xs, dtype=float), np.array(vals, dtype=float)
         xs.setflags(write=False)
         vals.setflags(write=False)
         return cls(xs=xs, vals=vals)
 
     def __post_init__(self):
+        if np.ndim(self.xs) != 1 or np.shape(self.xs) != np.shape(self.vals) or len(self.xs) < 3:
+            raise ValueError("tabulated potential needs >= 3 aligned samples")
+        if not np.all(np.diff(self.xs) > 0):
+            raise ValueError("tabulated grid must be strictly increasing")
         # slopes, cumulative integrals, kinks and the drift per interval
         # depend on the table only: built once per instance
         slopes = np.diff(self.vals) / np.diff(self.xs)
@@ -602,25 +603,16 @@ class TabulatedPotential(ConvexPotential):
         t = xc - self.xs[i]
         return cum[i] + self.vals[i] * t + 0.5 * slopes[i] * t * t
 
-    def descriptor(self):
-        return {"kind": "tabulated", "xs": self.xs.tolist(), "vals": self.vals.tolist()}
-
 
 def quadratic(a: float, m: float = 0.0) -> QuadraticPotential:
-    if a <= 0:
-        raise ValueError("quadratic potential needs a > 0")
     return QuadraticPotential(a=float(a), m=float(m))
 
 
 def quartic(a: float, b: float = 0.0) -> QuarticPotential:
-    if a <= 0 or b < 0:
-        raise ValueError("quartic potential needs a > 0, b >= 0")
     return QuarticPotential(a=float(a), b=float(b))
 
 
 def abs_potential(a: float, c: float = 0.0) -> AbsPotential:
-    if a <= 0:
-        raise ValueError("abs potential needs a > 0")
     return AbsPotential(a=float(a), c=float(c))
 
 
@@ -638,28 +630,32 @@ def tabulated(xs, vals) -> TabulatedPotential:
     return TabulatedPotential.from_table(xs, vals)
 
 
-_SCALAR_FACTORIES = {
-    "quadratic": (quadratic, ("a", "m")),
-    "quartic": (quartic, ("a", "b")),
-    "abs": (abs_potential, ("a", "c")),
+# kind -> (factory, {descriptor field: (config field kind, required)}); the
+# descriptor writer and reader and the CLI config schema all read this table
+POTENTIAL_KINDS = {
+    "quadratic": (quadratic, {"a": ("number", True), "m": ("number", False)}),
+    "quartic": (quartic, {"a": ("number", True), "b": ("number", False)}),
+    "abs": (abs_potential, {"a": ("number", True), "c": ("number", False)}),
+    "box": (box, {"lo": ("number", True), "hi": ("number", True), "inner": ("potential", False)}),
+    "affine_max": (affine_max, {"pieces": ("pairs", True)}),
+    "tabulated": (tabulated, {"xs": ("numbers", True), "vals": ("numbers", True)}),
 }
 
 
 def potential_from_descriptor(desc: dict) -> ConvexPotential:
-    """Rebuild a catalog potential from its JSON descriptor."""
+    """Rebuild a catalog potential from its descriptor; a field left out keeps the factory's default."""
     kind = desc.get("kind")
-    if kind in _SCALAR_FACTORIES:
-        # optional parameters a descriptor leaves out keep the factory's default
-        factory, names = _SCALAR_FACTORIES[kind]
-        return factory(**{name: desc[name] for name in names if name in desc})
-    if kind == "box":
-        inner = desc.get("inner")
-        return box(desc["lo"], desc["hi"], potential_from_descriptor(inner) if inner else None)
-    if kind == "affine_max":
-        return affine_max(desc["pieces"])
-    if kind == "tabulated":
-        return tabulated(desc["xs"], desc["vals"])
-    raise ValueError(f"unknown potential kind: {kind!r}")
+    if type(kind) is not str or kind not in POTENTIAL_KINDS:
+        raise ValueError(f"unknown potential kind: {kind!r}")
+    factory, fields = POTENTIAL_KINDS[kind]
+    args = {}
+    for name, (field_kind, required) in fields.items():
+        val = desc.get(name)
+        if val is not None:
+            args[name] = potential_from_descriptor(val) if field_kind == "potential" else val
+        elif required:
+            raise ValueError(f"{kind} potential: missing field {name!r}")
+    return factory(**args)
 
 
 # ---------------------------------------------------------------------------

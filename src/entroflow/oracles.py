@@ -59,10 +59,6 @@ class FpSolution:
             raise ValueError(f"time {t} not stored (nearest {self.times[idx]})")
         return self.densities[idx]
 
-    def measure_at(self, t: float) -> DiscreteMeasure:
-        w = np.maximum(self.density_at(t), 0.0)
-        return DiscreteMeasure.from_atoms(self.grid, w / w.sum())
-
 
 def _fp_generator(potential: ConvexPotential, grid: np.ndarray, h: float):
     """Tridiagonal divergence-form generator with harmonic face weights.

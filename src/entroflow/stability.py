@@ -166,6 +166,13 @@ def _smoothed_log_density(xs: np.ndarray, knots: np.ndarray, vals: np.ndarray, s
     return logsumexp(terms, axis=1)
 
 
+_SEQUENCE_MEMBERS = {  # sequence kind -> the potential of its member n
+    "affine_envelope": lambda base, n: affine_envelope_potential(base, _envelope_tangency_points(base, n)),
+    "mollified": lambda base, n: mollified_potential(base, 0.5 / n),  # standard deviation 1/(2n): scale 1/n
+    "variance_perturbed": lambda base, n: quadratic(base.a / (1.0 + 1.0 / n), base.m),
+}
+
+
 def build_sequence(
     kind: str,
     base: ConvexPotential,
@@ -176,38 +183,21 @@ def build_sequence(
 
     ``affine_envelope`` grows nested tangent envelopes (potentials increase
     to the base), ``mollified`` smooths at scale 1/n, and
-    ``variance_perturbed`` scales a Gaussian's variance by 1 + 1/n.
+    ``variance_perturbed`` scales a Gaussian's variance by 1 + 1/n. Each
+    member and the limit are discretized on their domain when it is finite,
+    else on their ``suggested_bounds``.
     """
-    members = []
-    if kind == "affine_envelope":
-        for n in ns:
-            pot = affine_envelope_potential(base, _envelope_tangency_points(base, n))
-            members.append(discretize_reference(pot, grid_n, suggested_bounds(pot)))
-        limit_pot = base
-    elif kind == "mollified":
-        # kernel of scale 1/n, i.e. standard deviation 1/(2n)
-        for n in ns:
-            pot = mollified_potential(base, 0.5 / n)
-            bounds = pot.finite_interval()
-            members.append(discretize_reference(pot, grid_n, bounds))
-        limit_pot = base
-    elif kind == "variance_perturbed":
-        if not isinstance(base, QuadraticPotential):
-            raise ValueError("variance_perturbed needs a quadratic base")
-        for n in ns:
-            pot = quadratic(base.a / (1.0 + 1.0 / n), base.m)
-            members.append(discretize_reference(pot, grid_n, suggested_bounds(pot)))
-        limit_pot = base
-    else:
+    if kind not in _SEQUENCE_MEMBERS:
         raise ValueError(f"unknown sequence kind {kind!r}")
+    if kind == "variance_perturbed" and not isinstance(base, QuadraticPotential):
+        raise ValueError("variance_perturbed needs a quadratic base")
 
-    lim_bounds = (
-        limit_pot.finite_interval()
-        if all(map(math.isfinite, limit_pot.finite_interval()))
-        else suggested_bounds(limit_pot)
-    )
-    limit = discretize_reference(limit_pot, grid_n, lim_bounds)
-    return ReferenceSequence(members=members, limit=limit, ns=tuple(ns), kind=kind)
+    def reference(pot):
+        dom = pot.finite_interval()
+        return discretize_reference(pot, grid_n, dom if all(map(math.isfinite, dom)) else suggested_bounds(pot))
+
+    members = [reference(_SEQUENCE_MEMBERS[kind](base, n)) for n in ns]
+    return ReferenceSequence(members=members, limit=reference(base), ns=tuple(ns), kind=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from scipy.stats import norm
 
 import entroflow as ef
 from conftest import random_grid_measure
+from entroflow.measures import POTENTIAL_KINDS
 
 
 class TestPotentialCatalog:
@@ -126,17 +128,71 @@ class TestPotentialCatalog:
                 assert abs(got - ref) < tol * max(1.0, abs(ref)), pot.kind
 
     def test_descriptor_round_trip(self):
+        # every catalog kind, plus a bare box and a box with a box inner
         pots = [
-            ef.quadratic(2.0, -1.0),
+            ef.quadratic(2, -1),
             ef.quartic(1.0, 0.2),
             ef.abs_potential(0.5, 1.0),
             ef.box(0.0, 2.0, ef.quadratic(1.0)),
-            ef.affine_max([(-1.0, 0.0), (2.0, -1.0)]),
+            ef.box(0, 1),
+            ef.box(-1.0, 1.5, ef.box(-0.5, 1.0)),
+            ef.affine_max([(2.0, -1.0), (-1.0, 0.0), (0.5, 0.1)]),
+            ef.tabulated(np.linspace(-3.0, 3.0, 13), np.linspace(-3.0, 3.0, 13) ** 2 / 3.0),
         ]
+        assert {pot.kind for pot in pots} == set(POTENTIAL_KINDS)
         xs = np.linspace(-0.5, 1.5, 11)
         for pot in pots:
-            clone = ef.potential_from_descriptor(pot.descriptor())
+            desc = pot.descriptor()
+            clone = ef.potential_from_descriptor(json.loads(json.dumps(desc)))
             assert np.allclose(clone.value(xs), pot.value(xs), equal_nan=True)
+            assert clone.descriptor() == desc
+            assert json.dumps(clone.descriptor(), sort_keys=True) == json.dumps(desc, sort_keys=True)
+        assert pots[0].descriptor() == {"kind": "quadratic", "a": 2.0, "m": -1.0}
+        assert all(type(v) is float for v in pots[0].descriptor().values() if v != "quadratic")
+        assert pots[4].descriptor() == {"kind": "box", "lo": 0.0, "hi": 1.0}  # no inner key
+        assert pots[6].descriptor()["pieces"] == [[-1.0, 0.0], [0.5, 0.1], [2.0, -1.0]]  # slope order
+
+    @pytest.mark.parametrize(
+        "desc,message",
+        [
+            ({"kind": "cubic", "a": 1.0}, "unknown potential kind: 'cubic'"),
+            ({"a": 1.0}, "unknown potential kind: None"),
+            ({"kind": "quadratic", "m": 1.0}, "quadratic potential: missing field 'a'"),
+            ({"kind": "box", "lo": 0.0}, "box potential: missing field 'hi'"),
+            ({"kind": "box", "lo": 0.0, "hi": 1.0, "inner": {"kind": "abs"}}, "abs potential: missing field 'a'"),
+            ({"kind": "tabulated", "xs": [0.0, 1.0, 2.0]}, "tabulated potential: missing field 'vals'"),
+            ({"kind": "affine_max"}, "affine_max potential: missing field 'pieces'"),
+        ],
+        ids=["unknown-kind", "no-kind", "quadratic-a", "box-hi", "inner-abs-a", "tabulated-vals", "affine_max-pieces"],
+    )
+    def test_descriptor_reader_errors(self, desc, message):
+        with pytest.raises(ValueError) as info:
+            ef.potential_from_descriptor(desc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: ef.QuadraticPotential(a=0.0), "quadratic potential needs a > 0"),
+            (lambda: ef.QuarticPotential(a=1.0, b=-4.0), "quartic potential needs a > 0, b >= 0"),
+            (lambda: ef.QuarticPotential(a=-1.0), "quartic potential needs a > 0, b >= 0"),
+            (lambda: ef.AbsPotential(a=-2.0, c=1.0), "abs potential needs a > 0"),
+            (
+                lambda: ef.TabulatedPotential(xs=np.arange(3.0), vals=np.zeros(2)),
+                "tabulated potential needs >= 3 aligned samples",
+            ),
+            (
+                lambda: ef.TabulatedPotential(xs=np.array([0.0, 2.0, 1.0]), vals=np.zeros(3)),
+                "tabulated grid must be strictly increasing",
+            ),
+        ],
+        ids=["quadratic-a", "quartic-b", "quartic-a", "abs-a", "tabulated-shape", "tabulated-order"],
+    )
+    def test_classes_validate_their_parameters(self, build, message):
+        # the classes themselves, not only the factories, reject a non-convex or malformed V
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
 
     def test_smooth_drift_is_derivative(self):
         pots = [

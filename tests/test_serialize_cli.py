@@ -316,6 +316,9 @@ CONFIG_PROBES = [
     ("stability", {"horizon": 0.01}, "horizon"),
     ("transition", {"t": 0.01}, "t"),
     ("fp", {"grid": {"n": 2, "bounds": [-8, 8]}}, "grid.n"),
+    # the oracles take whole steps of oracle.dt, so it must divide the horizon
+    ("fp", {"horizon": 0.001}, "oracle.dt"),
+    ("sde", {"horizon": 0.001}, "oracle.dt"),
 ]
 PROBE_IDS = [f"{c}-{f}" for c, _, f in CONFIG_PROBES]
 # a grid.n of the right type but too small, beside the wrong-type flow probe above
@@ -390,7 +393,12 @@ class TestCliContract:
 
     def test_oracle_failure_exit_3(self, tmp_path, capsys):
         # the quartic drift at the probe ends moves a path 500 times the probe span in one step
-        cfg = {**PROBE_BASE, "potential": {"kind": "quartic", "a": 1}, "oracle": {"dt": 0.5, "paths": 50}}
+        cfg = {
+            **PROBE_BASE,
+            "potential": {"kind": "quartic", "a": 1},
+            "horizon": 0.5,
+            "oracle": {"dt": 0.5, "paths": 50},
+        }
         assert cli_main(["sde", _write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]) == 3
         lines = capsys.readouterr().err.splitlines()
         manifest = json.loads((tmp_path / "o" / "sde_manifest.json").read_text())
@@ -447,6 +455,27 @@ class TestCliContract:
                     assert default != "required" and not default.startswith("`{"), (command, field)
                 documented.add((command, field))
         assert documented == {(c, f) for c, fields in _SCHEMAS.items() for f in fields}
+
+    def test_readme_kind_table_matches_variants(self):
+        # the potential rows come from measures.POTENTIAL_KINDS, the initial rows from the CLI's own table
+        from entroflow.cli import _VARIANTS
+
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = text.split("| kind | fields |\n|---|---|\n")[1].split("\n\n")[0]
+        documented = {}
+        for line in table.splitlines():
+            name, fields = [cell.strip() for cell in line.strip("|").split("|")]
+            obj, kind = name.split(" ")
+            documented[obj, kind.strip("`")] = {}
+            for item in fields.split("; ") if fields != "—" else []:
+                field, spec = item.split(" ", 1)
+                kind_name, _, required = spec.partition(", ")
+                documented[obj, kind.strip("`")][field.strip("`")] = (kind_name, required == "required")
+        assert documented == {
+            (obj, kind): {field: (spec.kind, spec.required) for field, spec in fields.items()}
+            for obj, kinds in _VARIANTS.items()
+            for kind, fields in kinds.items()
+        }
 
 
 # every subcommand on every catalog kind: n=100 (200 for dirichlet), tau=0.01, horizon 0.1
