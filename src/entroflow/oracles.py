@@ -9,6 +9,8 @@ cross-checks meaningful.
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +46,8 @@ class FpSolution:
 
     Each row of ``densities`` is a probability vector over the grid at the
     matching entry of ``times``; the scheme conserves mass exactly.
+    ``min_density`` is taken over every step, stored or not, and
+    ``mass_error`` is ``|sum(p) - 1|`` at the last step.
     """
 
     grid: np.ndarray
@@ -52,6 +56,7 @@ class FpSolution:
     dt: float
     theta: float
     min_density: float
+    mass_error: float
 
     def density_at(self, t: float) -> np.ndarray:
         idx = int(np.argmin(np.abs(self.times - t)))
@@ -119,6 +124,12 @@ def _theta_stepper(lower, diag, upper, dt: float, theta: float):
     return step
 
 
+def whole_steps(t: float, dt: float) -> int | None:
+    """``t / dt`` as a whole number of steps, or None when it is not within 1e-9 of one."""
+    steps = t / dt
+    return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
+
+
 def fp_solve(
     potential: ConvexPotential,
     mu0: DiscreteMeasure,
@@ -126,6 +137,7 @@ def fp_solve(
     dt: float,
     grid: np.ndarray | None = None,
     theta: float = 0.5,
+    times: list[float] | None = None,
 ) -> FpSolution:
     """Theta-scheme solve of d/dt u = (u' + V' u)' on a uniform grid.
 
@@ -135,6 +147,11 @@ def fp_solve(
     removes the ringing a rough initial condition would otherwise excite.
     Box potentials get the correct no-flux behavior from the closed
     boundary faces.
+
+    ``times`` selects the stored steps: each entry must be a whole number
+    of steps of dt (within 1e-9 of one) between 0 and the last step, and
+    each step is stored once, in time order. Without it, the start, every
+    ``max(1, steps // 512)``-th step and the last step are stored.
     """
     if mu0.dim != 1:
         raise ValueError("the solver is one-dimensional")
@@ -156,7 +173,12 @@ def fp_solve(
     if not np.allclose(steps_h, h, rtol=1e-8):
         raise ValueError("fp_solve needs a uniform grid")
     n_steps = int(math.ceil(T / dt - 1e-9))
-    store_every = max(1, n_steps // 512)
+    if times is None:
+        store = set(range(0, n_steps + 1, max(1, n_steps // 512))) | {n_steps}
+    else:
+        store = {whole_steps(t, dt) for t in times}
+        if not all(k is not None and 0 <= k <= n_steps for k in store):
+            raise ValueError(f"times must be whole steps of dt in [0, {n_steps * dt:g}]")
 
     lower, diag, upper = _fp_generator(potential, grid, h)
     if theta < 0.5:
@@ -170,26 +192,27 @@ def fp_solve(
     stepper = _theta_stepper(lower, diag, upper, dt, theta)
 
     p = weights0
-    times = [0.0]
-    dens = [p.copy()]
+    stored_times, dens = [], []
     min_density = 0.0
-    for k in range(n_steps):
-        p = (damped if k < 2 else stepper)(p)
-        min_density = min(min_density, float(p.min()))
-        if p.min() < -1e-10:
-            p = np.maximum(p, 0.0)
-            p /= p.sum()
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            times.append((k + 1) * dt)
+    for k in range(n_steps + 1):
+        if k > 0:
+            p = (damped if k <= 2 else stepper)(p)
+            min_density = min(min_density, float(p.min()))
+            if p.min() < -1e-10:
+                p = np.maximum(p, 0.0)
+                p /= p.sum()
+        if k in store:
+            stored_times.append(k * dt)
             dens.append(p.copy())
 
     return FpSolution(
         grid=grid,
-        times=np.asarray(times),
-        densities=np.asarray(dens),
+        times=np.asarray(stored_times),
+        densities=np.reshape(dens, (-1, len(grid))),
         dt=dt,
         theta=theta,
         min_density=min_density,
+        mass_error=abs(float(p.sum()) - 1.0),
     )
 
 
@@ -285,6 +308,11 @@ def _reflect(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return lo + y
 
 
+def _path_workers(n_blocks: int) -> int:
+    """Threads for ``n_blocks`` path blocks: one per CPU this process may run on, at most one per block."""
+    return max(1, min(len(os.sched_getaffinity(0)), n_blocks))
+
+
 def sde_simulate(
     potential: ConvexPotential,
     x: float,
@@ -297,8 +325,10 @@ def sde_simulate(
 
     Box potentials reflect by folding into the interval after each step,
     and the drift uses the zero-at-kink subgradient selection. Randomness
-    is counter-based: path block b draws from Philox(key=(seed, b)), so
-    results are reproducible regardless of scheduling.
+    is counter-based: path block b (paths b * PATH_BLOCK onwards) draws
+    from Philox(key=(seed, b)) and writes only its own paths, so the blocks
+    run on a thread pool and the samples do not depend on the number of
+    workers or their scheduling.
     """
     lo, hi = potential.finite_interval()
     reflecting = math.isfinite(lo) and math.isfinite(hi)
@@ -316,19 +346,22 @@ def sde_simulate(
 
     sigma = math.sqrt(2.0 * dt)
     out = np.empty(n_paths)
-    done = 0
-    b = 0
-    while done < n_paths:
-        m = min(PATH_BLOCK, n_paths - done)
+
+    def run_block(b: int) -> None:
+        start = b * PATH_BLOCK
+        m = min(PATH_BLOCK, n_paths - start)
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
         xs = np.full(m, float(x))
         for _ in range(n_steps):
             xs = xs - potential.drift(xs) * dt + sigma * rng.standard_normal(m)
             if reflecting:
                 xs = _reflect(xs, lo, hi)
-        out[done : done + m] = xs
-        done += m
-        b += 1
+        out[start : start + m] = xs
+
+    n_blocks = -(-n_paths // PATH_BLOCK)
+    with ThreadPoolExecutor(_path_workers(n_blocks)) as pool:
+        # reading every result re-raises the first exception a block raised
+        list(pool.map(run_block, range(n_blocks)))
     return SdeSample(terminal_points=out, dt=dt, n_paths=n_paths, seed=seed)
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,18 @@ class TestFpSolve:
         a = orc.fp_solve(gaussian_ref.potential, mu0, 0.25, 1e-3, theta=0.5)
         b = orc.fp_solve(gaussian_ref.potential, mu0, 0.25, 2.5e-4, theta=1.0)
         assert np.abs(a.densities[-1] - b.densities[-1]).sum() < 2e-3
+
+    def test_times_store_exactly_those_steps(self, gaussian_ref):
+        mu0 = ef.gaussian_on_grid(gaussian_ref, 0.8, 0.6)
+        full = orc.fp_solve(gaussian_ref.potential, mu0, 0.1, 1e-3)  # 100 steps, every one stored
+        some = orc.fp_solve(gaussian_ref.potential, mu0, 0.1, 1e-3, times=[0.05, 0.0, 0.1, 0.05])
+        assert np.array_equal(some.times, full.times[[0, 50, 100]])  # once each, in time order
+        assert np.array_equal(some.densities, full.densities[[0, 50, 100]])
+        assert (some.min_density, some.mass_error) == (full.min_density, full.mass_error)
+        assert orc.fp_solve(gaussian_ref.potential, mu0, 0.1, 1e-3, times=[]).densities.shape == (0, gaussian_ref.n)
+        for bad in ([0.0105], [0.101], [-0.001]):
+            with pytest.raises(ValueError, match="times must be whole steps of dt"):
+                orc.fp_solve(gaussian_ref.potential, mu0, 0.1, 1e-3, times=bad)
 
     def test_box_on_a_wider_grid(self):
         # cells where V = +inf are cut off: the box keeps its mass and its reference
@@ -197,6 +210,57 @@ class TestSde:
     def test_drift_guard(self):
         with pytest.raises(ValueError):
             orc.sde_simulate(ef.quartic(1e6), 3.0, 0.1, 1.0, 10, seed=0)
+
+    @pytest.mark.parametrize(
+        "pot,x",
+        [
+            (ef.quadratic(1.0), 1.0),
+            (ef.box(0.0, 1.0), 0.3),
+            (ef.affine_max([[-3.0, 0.0], [1.5, 0.0], [6.0, -3.0]]), 0.2),
+        ],
+        ids=["quadratic", "box", "affine_max"],
+    )
+    def test_samples_do_not_depend_on_workers(self, monkeypatch, pot, x):
+        # three blocks, the last one short; each block's stream is Philox(key=(seed, b))
+        n, T, dt, seed = 2 * orc.PATH_BLOCK + 1000, 0.02, 1e-3, 5
+        lo, hi = pot.finite_interval()
+        blocks = []
+        for b, start in enumerate(range(0, n, orc.PATH_BLOCK)):
+            rng = np.random.Generator(np.random.Philox(key=[seed, b]))
+            xs = np.full(min(orc.PATH_BLOCK, n - start), x)
+            for _ in range(20):
+                xs = xs - pot.drift(xs) * dt + math.sqrt(2.0 * dt) * rng.standard_normal(len(xs))
+                if math.isfinite(lo):
+                    xs = orc._reflect(xs, lo, hi)
+            blocks.append(xs)
+        serial = np.concatenate(blocks)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(orc, "_path_workers", lambda *args: workers)
+            got = orc.sde_simulate(pot, x, T, dt, n, seed).terminal_points
+            assert np.array_equal(got, serial), workers
+
+    def test_block_exception_propagates(self, monkeypatch):
+        class BlockFailure(Exception):
+            pass
+
+        class FailingSecondBlock:
+            def finite_interval(self):
+                return (-math.inf, math.inf)
+
+            def drift(self, xs):
+                if len(xs) == 10:  # only block 1 holds 10 paths
+                    raise BlockFailure("block 1")
+                return xs
+
+        monkeypatch.setattr(orc, "_path_workers", lambda *args: 2)
+        with pytest.raises(BlockFailure, match="block 1"):
+            orc.sde_simulate(FailingSecondBlock(), 0.0, 0.01, 1e-3, orc.PATH_BLOCK + 10, seed=0)
+
+    def test_path_worker_rule(self):
+        # one worker per CPU in the affinity set, at most one per block and at least one
+        cpus = len(os.sched_getaffinity(0))
+        assert [orc._path_workers(n) for n in (0, 1)] == [1, 1]
+        assert orc._path_workers(100_000) == cpus
 
     @pytest.mark.parametrize("lo,hi", [(0.0, 1.0), (-1.0, 1.5), (-0.0, 1e-3), (2.5, 7.25), (-40.0, -39.9)])
     def test_reflect_equals_folding_every_path(self, lo, hi, rng):

@@ -256,7 +256,8 @@ class TestCli:
         )
         header, rows = table("fp_densities.csv")
         assert [float(v) for v in header[1:]] == sol.grid.tolist()
-        assert rows == [[t] + d for t, d in zip(sol.times.tolist(), sol.densities.tolist())]
+        # one row, at the default times [horizon]: the last step fp_solve stores
+        assert rows == [sol.times[-1:].tolist() + sol.densities[-1].tolist()]
 
         header, rows = table("sde_terminal.csv")
         sample = sde_simulate(gamma.potential, 0.5, 0.1, 1e-2, 50, 3)
@@ -274,6 +275,46 @@ class TestCli:
         assert rows == [
             list(r) for r in zip(sigma.centers.tolist(), sigma.widths.tolist(), sigma.density.tolist())
         ]
+
+    def test_fp_rows_at_times(self, tmp_path):
+        from entroflow.oracles import fp_solve
+
+        cfg = {
+            "potential": {"kind": "quadratic", "a": 1.0},
+            "grid": {"n": 60, "bounds": [-8, 8]},
+            "initial": {"kind": "gaussian", "mean": 0.5, "std": 1.0},
+            "horizon": 0.1,
+            "times": [0, 0.05, 0.1],
+            "oracle": {"dt": 1e-2},
+        }
+        out = tmp_path / "fp"
+        assert cli_main(["fp", _write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        lines = (out / "fp_densities.csv").read_text().splitlines()
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
+        sol = fp_solve(gamma.potential, ef.gaussian_on_grid(gamma, 0.5, 1.0), 0.1, 1e-2, grid=gamma.grid)
+        assert len(sol.times) == 11  # the default stores every step here
+        assert np.array_equal(rows, np.column_stack([sol.times, sol.densities])[[0, 5, 10]])
+
+    @pytest.mark.parametrize("times", [[], [0]], ids=["none", "start"])
+    def test_fp_mass_checked_on_unstored_steps(self, tmp_path, monkeypatch, times):
+        import entroflow.oracles as orc
+
+        stepper = orc._theta_stepper
+        # every step loses a millionth of the mass: the start is exact, the last step is not
+        monkeypatch.setattr(orc, "_theta_stepper", lambda *a: lambda q, s=stepper(*a): s(q) * (1 - 1e-6))
+        cfg = {
+            "potential": {"kind": "quadratic", "a": 1.0},
+            "grid": {"n": 60, "bounds": [-8, 8]},
+            "horizon": 0.1,
+            "times": times,
+            "oracle": {"dt": 1e-2},
+        }
+        out = tmp_path / "fp"
+        assert cli_main(["fp", _write_config(tmp_path, cfg), "--out", str(out)]) == 1
+        items = json.loads((out / "fp_manifest.json").read_text())["checks"]["items"]
+        mass = next(item for item in items if item["check_id"] == "mass_conserved")
+        assert mass["value"] > 9e-6  # ten steps of 1e-6
 
 
 PROBE_BASE = {
@@ -327,6 +368,9 @@ PROBE_IDS.append("flow-grid.n-too-small")
 # times of the right type outside [0, horizon]
 CONFIG_PROBES += [("flow", {"times": [-0.1]}, "times"), ("flow", {"times": [0.05, 0.5]}, "times")]
 PROBE_IDS += ["flow-times-below-0", "flow-times-past-horizon"]
+# fp stores whole steps of oracle.dt, within [0, horizon]
+CONFIG_PROBES += [("fp", {"times": [0.05, 0.5]}, "times"), ("fp", {"times": [0.015]}, "times")]
+PROBE_IDS += ["fp-times-past-horizon", "fp-times-not-multiple"]
 
 
 def _write_config(tmp_path, cfg):
