@@ -77,7 +77,6 @@ def discrete_lipschitz(u, gamma: ReferenceMeasure) -> float:
 class SlopeCheckResult:
     energy: float
     inequality_violations: int
-    worst_margin: float
     sharpness_ratio: float
     report: CheckReport
 
@@ -165,7 +164,6 @@ def slope_variational_check(
     return SlopeCheckResult(
         energy=energy,
         inequality_violations=violations,
-        worst_margin=worst,
         sharpness_ratio=ratio / root_e if root_e > 0 else math.nan,
         report=report,
     )

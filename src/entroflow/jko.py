@@ -32,7 +32,6 @@ from .measures import (
     ReferenceMeasure,
     dirac_on_grid,
     grid_measure,
-    rebin_measure,
 )
 from .report import CheckReport
 
@@ -57,6 +56,17 @@ __all__ = [
 # constant of the uniform approximation estimate sup_t W2(flow, scheme)
 # <= C sqrt(tau * H(start)); C = 2 (2 sqrt(2) + 1)
 UNIFORM_APPROX_CONSTANT = 2.0 * (2.0 * math.sqrt(2.0) + 1.0)
+
+
+def _ceil_steps(t: float, dt: float) -> int:
+    """Steps of dt that reach time t: ceil(t / dt), forgiving 1e-9 of a step of rounding."""
+    return int(math.ceil(t / dt - 1e-9))
+
+
+def whole_steps(t: float, dt: float) -> int | None:
+    """``t / dt`` as a whole number of steps, or None when it is not within 1e-9 of one."""
+    steps = t / dt
+    return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
 
 
 @dataclass(frozen=True)
@@ -213,17 +223,10 @@ class QuantileLattice:
     def from_grid(self, mu: DiscreteMeasure) -> np.ndarray:
         """Edges of the family member matching a histogram on gamma's grid.
 
-        Off-grid measures are re-binned first; see ``from_weights``.
+        Off-grid measures are re-binned first (``ReferenceMeasure.grid_weights``);
+        see ``from_weights``.
         """
-        if mu.dim != 1:
-            raise ValueError("the flow is one-dimensional")
-        idx = self.gamma.locate(mu.x)
-        if np.any(idx < 0):
-            mu = rebin_measure(mu, self.gamma)
-            idx = self.gamma.locate(mu.x)
-        w = np.zeros(self.gamma.n)
-        w[idx] = mu.weights
-        return self.from_weights(w)
+        return self.from_weights(self.gamma.grid_weights(mu))
 
     def from_weights(self, weights: np.ndarray) -> np.ndarray:
         """Edges of the family member matching cell weights on gamma's grid.
@@ -570,7 +573,7 @@ class FlowTrajectory:
         """Scheme value at time t: steps cover (k tau, (k+1) tau]."""
         if t <= 0:
             return 0
-        k = int(math.ceil(t / self.config.tau - 1e-9))
+        k = _ceil_steps(t, self.config.tau)
         return min(k, len(self.edges) - 1)
 
     def measure_at(self, t: float) -> DiscreteMeasure:
@@ -608,7 +611,7 @@ def _flow_steps(
     if T < cfg.tau:
         raise ValueError("horizon T must be at least one step")
     e, state = e0, None
-    for k in range(int(math.ceil(T / cfg.tau - 1e-9))):
+    for k in range(_ceil_steps(T, cfg.tau)):
         *out, state = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters, state=state)
         e, residual, converged = out[0], out[4], out[6]
         if not converged.all():
@@ -678,7 +681,6 @@ class RefineResult:
     trajectories: list[FlowTrajectory]
     cauchy_gaps: np.ndarray
     envelope: np.ndarray
-    taus: np.ndarray
 
 
 def refine_trajectory(
@@ -709,7 +711,6 @@ def refine_trajectory(
         trajectories=trajectories,
         cauchy_gaps=np.asarray(gaps),
         envelope=envelope,
-        taus=taus,
     )
 
 

@@ -708,6 +708,19 @@ class ReferenceMeasure:
         ok &= np.abs(self.grid[safe] - x) <= tol
         return np.where(ok, safe, -1)
 
+    def grid_weights(self, mu: "DiscreteMeasure") -> np.ndarray:
+        """mu's weights on the grid; off-grid atoms are re-binned first (``rebin_measure``)."""
+        if mu.dim != 1:
+            raise ValueError("measures on the grid are one-dimensional")
+        idx = self.locate(mu.x)
+        if np.any(idx < 0):
+            mu = rebin_measure(mu, self)
+            idx = self.locate(mu.x)
+        w = np.zeros(self.n)
+        # distinct atoms within locate's tolerance of one centre share its cell
+        np.add.at(w, idx, mu.weights)
+        return w
+
 
 def discretize_reference(
     potential: ConvexPotential,

@@ -19,7 +19,7 @@ from scipy.linalg.lapack import dgtsv
 
 from .dirichlet import discrete_lipschitz
 from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure
-from .jko import JkoConfig, QuantileLattice, _flow_end
+from .jko import JkoConfig, QuantileLattice, _ceil_steps, _flow_end, whole_steps
 
 __all__ = [
     "FpSolution",
@@ -42,7 +42,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 @dataclass
 class FpSolution:
-    """Grid-weight snapshots of a Fokker-Planck solve.
+    """Grid-weight snapshots of a Fokker-Planck solve on the reference's grid.
 
     Each row of ``densities`` is a probability vector over the grid at the
     matching entry of ``times``; the scheme conserves mass exactly.
@@ -50,7 +50,6 @@ class FpSolution:
     ``mass_error`` is ``|sum(p) - 1|`` at the last step.
     """
 
-    grid: np.ndarray
     times: np.ndarray
     densities: np.ndarray  # (len(times), n)
     dt: float
@@ -65,8 +64,8 @@ class FpSolution:
         return self.densities[idx]
 
 
-def _fp_generator(potential: ConvexPotential, grid: np.ndarray, h: float):
-    """Tridiagonal divergence-form generator with harmonic face weights.
+def _fp_generator(gamma: ReferenceMeasure):
+    """Tridiagonal divergence-form generator with harmonic face weights on gamma's grid.
 
     Fluxes are written as g * d(u/g) with g = exp(-V) evaluated through the
     harmonic mean at cell faces, so the discrete stationary state is exactly
@@ -75,16 +74,16 @@ def _fp_generator(potential: ConvexPotential, grid: np.ndarray, h: float):
     a cell where V = +inf (g = 0), which cuts such cells off from the
     support block. V is read only at the grid points, so kinks need no care.
     """
-    v = potential.value(grid)
+    v = gamma.potential.value(gamma.grid)
     v = v - v.min()
     g = np.exp(-v)
     closed = (g[:-1] == 0.0) | (g[1:] == 0.0)
     gl, gr = np.where(closed, 1.0, g[:-1]), np.where(closed, 1.0, g[1:])
-    w_face = np.where(closed, 0.0, 2.0 * gl * gr / (gl + gr)) / h**2
+    w_face = np.where(closed, 0.0, 2.0 * gl * gr / (gl + gr)) / gamma.cell_width**2
     # action on weights p: (L p)_j = w_{j+1/2} (p_{j+1}/g_{j+1} - p_j/g_j) + ...
     lower = w_face / gl
     upper = w_face / gr
-    diag = np.zeros(len(grid))
+    diag = np.zeros(gamma.n)
     diag[:-1] -= lower
     diag[1:] -= upper
     return lower, diag, upper
@@ -124,25 +123,18 @@ def _theta_stepper(lower, diag, upper, dt: float, theta: float):
     return step
 
 
-def whole_steps(t: float, dt: float) -> int | None:
-    """``t / dt`` as a whole number of steps, or None when it is not within 1e-9 of one."""
-    steps = t / dt
-    return round(steps) if abs(steps - round(steps)) <= 1e-9 else None
-
-
 def fp_solve(
-    potential: ConvexPotential,
+    gamma: ReferenceMeasure,
     mu0: DiscreteMeasure,
     T: float,
     dt: float,
-    grid: np.ndarray | None = None,
     theta: float = 0.5,
     times: list[float] | None = None,
 ) -> FpSolution:
-    """Theta-scheme solve of d/dt u = (u' + V' u)' on a uniform grid.
+    """Theta-scheme solve of d/dt u = (u' + V' u)' on gamma's grid.
 
-    The grid defaults to mu0's support; sparse starts (near-Dirac cells)
-    should pass the full grid explicitly. The default time discretization
+    mu0 is placed on the grid as the flow places its start
+    (``ReferenceMeasure.grid_weights``). The default time discretization
     is Crank-Nicolson with two damped (fully implicit) startup steps, which
     removes the ringing a rough initial condition would otherwise excite.
     Box potentials get the correct no-flux behavior from the closed
@@ -150,37 +142,20 @@ def fp_solve(
 
     ``times`` selects the stored steps: each entry must be a whole number
     of steps of dt (within 1e-9 of one) between 0 and the last step, and
-    each step is stored once, in time order. Without it, the start, every
-    ``max(1, steps // 512)``-th step and the last step are stored.
+    each step is stored once, in time order. Without it, only the last
+    step, ceil(T / dt), is stored.
     """
-    if mu0.dim != 1:
-        raise ValueError("the solver is one-dimensional")
-    if grid is None:
-        grid = mu0.x
-        weights0 = mu0.weights.copy()
-    else:
-        grid = np.asarray(grid, dtype=float)
-        weights0 = np.zeros(len(grid))
-        h_loc = grid[1] - grid[0]
-        idx = np.rint((mu0.x - grid[0]) / h_loc).astype(int)
-        if np.any(idx < 0) or np.any(idx >= len(grid)):
-            raise ValueError("mu0 does not live on the supplied grid")
-        np.add.at(weights0, idx, mu0.weights)
-    if len(grid) < 3:
+    if gamma.n < 3:
         raise ValueError("grid too small")
-    steps_h = np.diff(grid)
-    h = float(steps_h[0])
-    if not np.allclose(steps_h, h, rtol=1e-8):
-        raise ValueError("fp_solve needs a uniform grid")
-    n_steps = int(math.ceil(T / dt - 1e-9))
+    n_steps = _ceil_steps(T, dt)
     if times is None:
-        store = set(range(0, n_steps + 1, max(1, n_steps // 512))) | {n_steps}
+        store = {n_steps}
     else:
         store = {whole_steps(t, dt) for t in times}
         if not all(k is not None and 0 <= k <= n_steps for k in store):
             raise ValueError(f"times must be whole steps of dt in [0, {n_steps * dt:g}]")
 
-    lower, diag, upper = _fp_generator(potential, grid, h)
+    lower, diag, upper = _fp_generator(gamma)
     if theta < 0.5:
         # explicit-dominated schemes are only conditionally stable
         rate = float(np.abs(diag).max())
@@ -191,7 +166,7 @@ def fp_solve(
     damped = _theta_stepper(lower, diag, upper, dt, 1.0)
     stepper = _theta_stepper(lower, diag, upper, dt, theta)
 
-    p = weights0
+    p = gamma.grid_weights(mu0)
     stored_times, dens = [], []
     min_density = 0.0
     for k in range(n_steps + 1):
@@ -206,9 +181,8 @@ def fp_solve(
             dens.append(p.copy())
 
     return FpSolution(
-        grid=grid,
         times=np.asarray(stored_times),
-        densities=np.reshape(dens, (-1, len(grid))),
+        densities=np.reshape(dens, (-1, gamma.n)),
         dt=dt,
         theta=theta,
         min_density=min_density,
@@ -332,7 +306,7 @@ def sde_simulate(
     """
     lo, hi = potential.finite_interval()
     reflecting = math.isfinite(lo) and math.isfinite(hi)
-    n_steps = int(math.ceil(T / dt - 1e-9))
+    n_steps = _ceil_steps(T, dt)
 
     # drift explosion guard: convex potentials have extreme slopes at the ends
     span_probe = 10.0 * max(1.0, abs(x))
@@ -390,10 +364,10 @@ def semigroup_matrix(
         if t < 0:
             raise ValueError(f"t must be nonnegative, got {t}")
         dt = dt if dt is not None else max(t / 400.0, 1e-4)
-        lower, diag, upper = _fp_generator(gamma.potential, gamma.grid, gamma.cell_width)
+        lower, diag, upper = _fp_generator(gamma)
         # column j of the one-step matrix is the step of cell j
         m = _theta_stepper(lower, diag, upper, dt, 0.5)(np.eye(n))
-        u = np.linalg.matrix_power(m, int(math.ceil(t / dt - 1e-9)))
+        u = np.linalg.matrix_power(m, _ceil_steps(t, dt))
         return np.clip(u.T, 0.0, None) / np.clip(u.T, 0.0, None).sum(axis=1, keepdims=True)
     if method == "jko":
         if cfg is None:
@@ -413,18 +387,13 @@ def semigroup_matrix(
     raise ValueError(f"unknown method {method!r}")
 
 
-@dataclass(frozen=True)
-class ReversibilityResult:
-    asymmetry: float
-
-
-def reversibility_check(gamma: ReferenceMeasure, t: float) -> ReversibilityResult:
+def reversibility_check(gamma: ReferenceMeasure, t: float) -> float:
     """Relative detailed-balance defect max |D P - P' D| / max |D P| of the fp semigroup."""
     p = semigroup_matrix(gamma, t)
     d = gamma.weights[:, None] * p
     num = float(np.abs(d - d.T).max())
     den = float(np.abs(d).max())
-    return ReversibilityResult(asymmetry=num / max(den, 1e-300))
+    return num / max(den, 1e-300)
 
 
 @dataclass(frozen=True)

@@ -86,7 +86,6 @@ class SinkhornResult:
     marginal_violation: float
     iterations: int
     converged: bool
-    epsilon: float
 
 
 def _cost_matrix(x: np.ndarray, y: np.ndarray, norm: NormSpec | None) -> np.ndarray:
@@ -357,7 +356,6 @@ def w2_sinkhorn(
         marginal_violation=viol,
         iterations=iters,
         converged=converged,
-        epsilon=epsilon,
     )
 
 

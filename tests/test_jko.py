@@ -457,6 +457,18 @@ class TestRarePaths:
         assert np.all(gamma.locate(mu.x) < 0)
         assert np.array_equal(lat.from_grid(mu), lat.from_grid(ef.rebin_measure(mu, gamma)))
 
+    def test_atoms_sharing_a_cell_keep_their_mass(self):
+        # two distinct atoms within locate's tolerance of cell 30 both land on it
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
+        x, y = float(gamma.grid[30]), float(gamma.grid[40])
+        mu = ef.DiscreteMeasure.from_atoms([x, x + 1e-12, y], [0.25, 0.25, 0.5])
+        assert len(mu.x) == 3 and np.array_equal(gamma.locate(mu.x), [30, 30, 40])
+        expected = np.zeros(gamma.n)
+        expected[[30, 40]] = 0.5
+        assert np.array_equal(gamma.grid_weights(mu), expected)
+        lat = QuantileLattice(gamma)
+        assert np.array_equal(lat.from_grid(mu), lat.from_weights(expected))
+
 
 class TestNewtonDirection:
     @pytest.mark.parametrize("rows,size", [(1, 61), (1, 401), (7, 61), (60, 61)])

@@ -251,13 +251,11 @@ class TestCli:
             return lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
 
         gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
-        sol = fp_solve(
-            gamma.potential, ef.gaussian_on_grid(gamma, 0.5, 1.0), 0.1, 1e-2, grid=gamma.grid
-        )
+        sol = fp_solve(gamma, ef.gaussian_on_grid(gamma, 0.5, 1.0), 0.1, 1e-2)
         header, rows = table("fp_densities.csv")
-        assert [float(v) for v in header[1:]] == sol.grid.tolist()
-        # one row, at the default times [horizon]: the last step fp_solve stores
-        assert rows == [sol.times[-1:].tolist() + sol.densities[-1].tolist()]
+        assert [float(v) for v in header[1:]] == gamma.grid.tolist()
+        # one row, at the default times [horizon]: the one step fp_solve stores by default
+        assert rows == [sol.times.tolist() + sol.densities[0].tolist()]
 
         header, rows = table("sde_terminal.csv")
         sample = sde_simulate(gamma.potential, 0.5, 0.1, 1e-2, 50, 3)
@@ -292,8 +290,9 @@ class TestCli:
         lines = (out / "fp_densities.csv").read_text().splitlines()
         rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
         gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
-        sol = fp_solve(gamma.potential, ef.gaussian_on_grid(gamma, 0.5, 1.0), 0.1, 1e-2, grid=gamma.grid)
-        assert len(sol.times) == 11  # the default stores every step here
+        every_step = [k * 1e-2 for k in range(11)]
+        sol = fp_solve(gamma, ef.gaussian_on_grid(gamma, 0.5, 1.0), 0.1, 1e-2, times=every_step)
+        assert len(sol.times) == 11
         assert np.array_equal(rows, np.column_stack([sol.times, sol.densities])[[0, 5, 10]])
 
     @pytest.mark.parametrize("times", [[], [0]], ids=["none", "start"])
