@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dptsv
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.special import ndtr, ndtri
 
 from .measures import (
@@ -150,7 +150,8 @@ class QuantileLattice:
         self._mass = m[None]
         self._m_diag = np.concatenate([[m[0] / 3.0], (m[:-1] + m[1:]) / 3.0, [m[-1] / 3.0]])[None]
         self._m_off = (m / 6.0)[None]
-        self._log_cell_mass = np.log(m)[None]
+        # the entropy's terms that do not depend on the edges
+        self._entropy_const = float(np.dot(m, np.log(m))) + gamma.log_partition
         # edges i, j near the quartiles, and c with variance >= c (e_j - e_i)^2
         # for every member: mass levels[i] lies left of edge i and
         # 1 - levels[j] right of edge j, wherever the mean is
@@ -165,8 +166,12 @@ class QuantileLattice:
     # gives a float.
     def w2_sq(self, e1: np.ndarray, e2: np.ndarray):
         d = e1 - e2
-        quad = np.vecdot(d, self._m_diag * d) + 2.0 * np.vecdot(d[..., :-1] * d[..., 1:], self._m_off)
-        return _rows(np.maximum(quad, 0.0), d)
+        return _rows(self._w2_sq_grad(d)[0], d)
+
+    def _w2_sq_grad(self, d: np.ndarray):
+        """W2^2 of the displacement stack d, as d . (M d), and M d itself."""
+        md = self.metric_grad(d)
+        return np.maximum(np.vecdot(d, md), 0.0), md
 
     def w2(self, e1: np.ndarray, e2: np.ndarray):
         w2s = self.w2_sq(e1, e2)
@@ -192,32 +197,58 @@ class QuantileLattice:
             de = np.where(increasing[..., None], de, 1.0)  # keeps those rows out of the logarithm
         if iv is None:
             iv = self.gamma.potential.cell_integrals(edges)
-        m = self._mass
-        val = (
-            np.sum(m * (self._log_cell_mass - np.log(de)), axis=-1) + np.sum(m * iv / de, axis=-1)
-        ) + self.gamma.log_partition
+        # sum_i m_i (ln m_i - ln de_i + iv_i / de_i) + ln Z
+        terms = iv / de
+        terms -= np.log(de)
+        val = self._entropy_const + np.vecdot(terms, self._mass)
         return _rows(np.where(increasing & np.isfinite(iv).all(axis=-1), val, np.inf), de)
 
     def _entropy_grad_hess(self, edges: np.ndarray, iv: np.ndarray):
-        """Entropy gradient and tridiagonal Hessian; ``iv`` are the cell integrals over ``edges``."""
+        """Entropy gradient and tridiagonal Hessian; ``iv`` are the cell integrals over ``edges``.
+
+        Cell i adds m_i (-ln de_i + iv_i / de_i) to the entropy. Its
+        derivatives in its left and right edge are written in the per-cell
+        terms w = m / de, w / de, p = avg - V(left) and q = V(right) - avg,
+        avg = iv / de being V's mean over the cell:
+        gradient w (1 + p) and w (q - 1); Hessian w/de (1 + 2p) - w V'(left),
+        w/de (1 - 2q) + w V'(right) and, between the two, w/de (q - p - 1).
+        """
         pot = self.gamma.potential
-        de = edges[..., 1:] - edges[..., :-1]
-        m = self._mass
         v = pot.value(edges)
         vp = pot.drift(edges)
-        vl, vr = v[..., :-1], v[..., 1:]
-        # per-cell pieces: d/d(left), d/d(right) of m [ -ln de + iv/de ]
-        avg = iv / de
-        inv = 1.0 / de
-        g_left = m * (inv + (avg - vl) / de)
-        g_right = m * (-inv + (vr - avg) / de)
-        # Hessian blocks (symmetric per cell)
-        de2 = de * de
-        inv2 = 1.0 / de2
-        h_ll = m * (inv2 + (-vp[..., :-1] * de + 2.0 * (avg - vl)) / de2)
-        h_rr = m * (inv2 + (vp[..., 1:] * de - 2.0 * (vr - avg)) / de2)
-        h_lr = m * (-inv2 + (vr + vl - 2.0 * avg) / de2)
-        return _edge_sums(g_left, g_right), _edge_sums(h_ll, h_rr), h_lr
+        de = edges[..., 1:] - edges[..., :-1]
+        w = self._mass / de
+        wd = w / de
+        q = np.divide(iv, de, out=de)  # avg; de is not read again
+        p = q - v[..., :-1]
+        np.subtract(v[..., 1:], q, out=q)
+        t = np.empty_like(w)  # scratch for one per-cell term at a time
+        grad = np.empty(edges.shape)
+        left, right = grad[..., :-1], grad[..., 1:]
+        np.multiply(w, p, out=left)
+        left += w
+        grad[..., -1] = 0.0
+        np.subtract(q, 1.0, out=t)
+        t *= w
+        right += t
+        diag = np.empty(edges.shape)
+        left, right = diag[..., :-1], diag[..., 1:]
+        np.multiply(p, 2.0, out=left)
+        left += 1.0
+        left *= wd
+        np.multiply(w, vp[..., :-1], out=t)
+        left -= t
+        diag[..., -1] = 0.0
+        off = q - p
+        off -= 1.0
+        off *= wd
+        np.multiply(q, -2.0, out=t)
+        t += 1.0
+        t *= wd
+        np.multiply(w, vp[..., 1:], out=p)
+        t += p
+        right += t
+        return grad, diag, off
 
     # -- conversions ---------------------------------------------------------
     def from_grid(self, mu: DiscreteMeasure) -> np.ndarray:
@@ -342,15 +373,6 @@ def _rows(values: np.ndarray, operand: np.ndarray):
     return values if operand.ndim > 1 else float(values[0])
 
 
-def _edge_sums(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-edge sums of per-cell terms: edge i takes left[i] + right[i-1]."""
-    out = np.empty(left.shape[:-1] + (left.shape[-1] + 1,))
-    out[..., 0] = left[..., 0]
-    np.add(left[..., 1:], right[..., :-1], out=out[..., 1:-1])
-    out[..., -1] = right[..., -1]
-    return out
-
-
 def _clamp(e: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if math.isfinite(lo):
         e = np.maximum(e, lo)
@@ -378,12 +400,16 @@ def _native_step(
     which reads ``e_prev`` alone and is ``e_prev`` itself for wide laws.
 
     Returns (edges, objective, entropy, w2_sq, residual, iterations,
-    converged), each with one entry per row, and the entropy state at the
-    returned edges: (entropy, cell integrals, gradient, Hessian diagonal,
-    Hessian off-diagonal). The state is None unless the solve ended on its
-    convergence test, which has just evaluated it there. Passing it back as
-    ``state`` with the returned edges as ``e_prev`` starts the next step from
-    it instead of evaluating it again; the result is the same bit for bit.
+    converged), each with one entry per row, and the state at the returned
+    edges: (entropy, cell integrals, gradient, Hessian diagonal, Hessian
+    off-diagonal, factor). The state is None unless the solve ended on its
+    convergence test, which has just evaluated it there; the factor is that
+    test's factored Newton system, or None when it had an edge pinned to a
+    wall. Passing the state back as ``state``, with the returned edges as
+    ``e_prev`` and the same ``tau``, starts the next step from it instead
+    of evaluating it again: there the metric term is 0, so the Newton
+    system is the same and its factor solves the first direction. The
+    result is the same bit for bit.
     """
     inv_tau = 1.0 / tau
     lo, hi = lat.domain
@@ -400,17 +426,18 @@ def _native_step(
     def objective(edges):
         iv = pot.cell_integrals(edges)
         ent = lat.entropy(edges, iv)
-        w2s = lat.w2_sq(edges, e_prev)
-        return ent + 0.5 * inv_tau * w2s, ent, w2s, iv
+        w2s, md = lat._w2_sq_grad(edges - e_prev)
+        return ent + 0.5 * inv_tau * w2s, ent, w2s, iv, md
 
     if state is not None and np.array_equal(e, e_prev):
         # the state holds if the start repair left e_prev as it was; the metric term is 0 there
-        ent, iv, *hess = state
+        ent, iv, *hess, factor = state
         w2s = np.zeros(len(e))
         value = ent + 0.5 * inv_tau * w2s
+        md = None  # M (e - e_prev), here 0
     else:
-        value, ent, w2s, iv = objective(e)
-        hess = None
+        value, ent, w2s, iv, md = objective(e)
+        hess = factor = None
         if not np.isfinite(value).all():
             raise RuntimeError("infeasible starting edges for the proximal step")
 
@@ -425,28 +452,36 @@ def _native_step(
     for _ in range(max_iters):
         g_ent, d_ent, off_ent = hess if hess is not None else lat._entropy_grad_hess(e, iv)
         hess = None
-        grad = g_ent + inv_tau * lat.metric_grad(e - e_prev)
-        diag = d_ent + inv_tau * lat._m_diag
-        off = off_ent + inv_tau * lat._m_off
+        grad = g_ent if md is None else g_ent + inv_tau * md
 
         # domain walls: freeze edges pressed outward against a bound
+        pinned = None
         if math.isfinite(lo) or math.isfinite(hi):
             pinned = np.zeros(e.shape, dtype=bool)
             if math.isfinite(lo):
                 pinned |= (e <= lo + 1e-14) & (grad >= 0.0)
             if math.isfinite(hi):
                 pinned |= (e >= hi - 1e-14) & (grad <= 0.0)
-            if pinned.any():
+            pinned = pinned if pinned.any() else None
+        if pinned is None and factor is not None:
+            step, factor = _newton_direction(None, None, grad, factor)
+        else:
+            diag = d_ent + inv_tau * lat._m_diag
+            off = off_ent + inv_tau * lat._m_off
+            if pinned is not None:
                 grad = np.where(pinned, 0.0, grad)
                 diag = np.where(pinned, 1.0, diag)
                 off = np.where(pinned[:, :-1] | pinned[:, 1:], 0.0, off)
+            step, factor = _newton_direction(diag, off, grad)
+            if pinned is not None:
+                factor = None  # a pinned system is not the next step's first one
 
-        step = _newton_direction(diag, off, grad)
         gap_est = np.maximum(-0.5 * np.vecdot(grad, step), 0.0)
         active &= ~(gap_est <= tol)
         if not active.any():
-            state = (ent, iv, g_ent, d_ent, off_ent)
+            state = (ent, iv, g_ent, d_ent, off_ent, factor)
             break
+        factor = None
         iters += active
         # backtracking, each row on its own step length
         alpha = np.ones((len(e), 1))
@@ -456,11 +491,11 @@ def _native_step(
             ok = (cand[:, 1:] > cand[:, :-1]).all(axis=1)
             ok &= searching
             if ok.any():
-                cval, cent, cw2, civ = objective(cand)
+                cval, cent, cw2, civ, cmd = objective(cand)
                 accept = cval < value
                 accept &= ok
                 if accept.all():
-                    e, value, ent, w2s, iv = cand, cval, cent, cw2, civ
+                    e, value, ent, w2s, iv, md = cand, cval, cent, cw2, civ, cmd
                     break
                 if accept.any():
                     e = np.where(accept[:, None], cand, e)
@@ -468,6 +503,7 @@ def _native_step(
                     ent = np.where(accept, cent, ent)
                     w2s = np.where(accept, cw2, w2s)
                     iv = np.where(accept[:, None], civ, iv)
+                    md = np.where(accept[:, None], cmd, 0.0 if md is None else md)
                     searching &= ~accept
                     if not searching.any():
                         break
@@ -480,35 +516,44 @@ def _native_step(
     return e, value, ent, w2s, gap_est, iters, converged, state
 
 
-def _newton_direction(diag: np.ndarray, off: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _newton_direction(diag, off, grad: np.ndarray, factor: tuple | None = None):
     """Solve the rows' tridiagonal Newton systems (diag, off) x = -grad.
 
     The (B, n+1) stack is one symmetric tridiagonal system whose couplings
-    between blocks are zero, solved by LAPACK ``dptsv`` (the routine scipy's
-    ``solveh_banded`` calls for a two-row band), so each block's factor and
-    solution are the ones it has alone. When a block is not positive
-    definite the rows are solved one at a time, and a row that fails takes
-    the diagonal step.
+    between blocks are zero, factored by LAPACK ``dpttrf`` and solved by
+    ``dpttrs``, the two halves of the ``dptsv`` that scipy's
+    ``solveh_banded`` calls for a two-row band; so each block's factor and
+    solution are the ones it has alone. Returns the solution and the
+    factor. A factor passed back solves the same systems for a new
+    ``grad`` without factoring them again; ``diag`` and ``off`` are then
+    not read. When a block is not positive definite the rows are solved
+    one at a time, a row that fails takes the diagonal step, and the
+    factor is None.
     """
-    rows, size = diag.shape
-    # (diagonal, coupling, right-hand side) in one buffer, checked in one pass
-    buf = np.zeros((3, rows, size))
-    np.maximum(diag, 1e-300, out=buf[0])
-    buf[1, :, :-1] = off
-    np.negative(grad, out=buf[2])
-    if not np.isfinite(buf).all():
+    b = np.negative(grad)
+    if not np.isfinite(b).all():
         raise ValueError("array must not contain infs or NaNs")
-    d, e, b = buf[0].ravel(), buf[1].ravel()[:-1], buf[2].ravel()
-    *_, x, info = dptsv(d, e, b, overwrite_d=True, overwrite_e=True, overwrite_b=True)
-    if info == 0:
-        return x.reshape(rows, size)
+    if factor is None:
+        rows, size = diag.shape
+        # (diagonal, coupling) in one buffer, checked in one pass
+        buf = np.zeros((2, rows, size))
+        np.maximum(diag, 1e-300, out=buf[0])
+        buf[1, :, :-1] = off
+        if not np.isfinite(buf).all():
+            raise ValueError("array must not contain infs or NaNs")
+        d, e, info = dpttrf(buf[0].ravel(), buf[1].ravel()[:-1], overwrite_d=True, overwrite_e=True)
+        factor = (d, e)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrf")
+        if info > 0:
+            if rows == 1:
+                return b / np.maximum(diag, 1e-12), None
+            x = [_newton_direction(diag[i : i + 1], off[i : i + 1], grad[i : i + 1])[0] for i in range(rows)]
+            return np.concatenate(x), None
+    x, info = dpttrs(*factor, b.ravel(), overwrite_b=True)
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
-    if rows == 1:
-        return -grad / np.maximum(diag, 1e-12)
-    return np.concatenate(
-        [_newton_direction(diag[i : i + 1], off[i : i + 1], grad[i : i + 1]) for i in range(rows)]
-    )
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
+    return x.reshape(grad.shape), factor
 
 
 def _strictly_increasing(e: np.ndarray) -> np.ndarray:

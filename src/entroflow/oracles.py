@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .dirichlet import discrete_lipschitz
 from .measures import ConvexPotential, DiscreteMeasure, ReferenceMeasure
@@ -93,14 +93,15 @@ def _theta_stepper(lower, diag, upper, dt: float, theta: float):
     """Stepper of the theta scheme (I - theta dt L) u' = (I + (1 - theta) dt L) u.
 
     L is the tridiagonal generator given by its three bands. The implicit
-    bands are built once; the returned function takes one step of a
-    right-hand side of shape (n,) or (n, B) through LAPACK ``dgtsv``, the
-    routine scipy's ``solve_banded`` calls for a (1, 1) band.
+    matrix is factored once, by LAPACK ``dgttrf``; the returned function
+    takes one step of a right-hand side of shape (n,) or (n, B) through
+    ``dgttrs``. The two are the halves of the ``dgtsv`` that scipy's
+    ``solve_banded`` calls for a (1, 1) band, and give its bits.
     """
     imp = theta * dt
-    dl = -imp * lower
-    d = 1.0 - imp * diag
-    du = -imp * upper
+    *factor, info = dgttrf(-imp * lower, 1.0 - imp * diag, -imp * upper)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dgttrf")
     ex = (1.0 - theta) * dt
     ex_upper = ex * upper
     ex_lower = ex * lower
@@ -112,12 +113,11 @@ def _theta_stepper(lower, diag, upper, dt: float, theta: float):
         out[1:] += ex_lower[col] * q[:-1]
         if not np.isfinite(out).all():
             raise ValueError("array must not contain infs or NaNs")
-        # dgtsv factors copies of the bands, so they serve every step
-        *_, x, info = dgtsv(dl, d, du, out, overwrite_b=True)
         if info > 0:
             raise LinAlgError("singular matrix")
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dgtsv")
+        x, solved = dgttrs(*factor, out, overwrite_b=True)
+        if solved < 0:
+            raise ValueError(f"illegal value in argument {-solved} of LAPACK dgttrs")
         return x
 
     return step

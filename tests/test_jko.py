@@ -8,6 +8,8 @@ from scipy.linalg import solveh_banded
 from scipy.optimize import minimize
 
 import entroflow as ef
+import entroflow.jko as jko
+from entroflow import oracles
 from entroflow.cli import main as cli_main
 from entroflow.jko import (
     QuantileLattice,
@@ -289,7 +291,7 @@ CARRY_REFS = {
 def _entropy_state(lat, e):
     """The state _native_step hands on, evaluated afresh at the stack e."""
     iv = lat.gamma.potential.cell_integrals(e)
-    return (lat.entropy(e), iv, *lat._entropy_grad_hess(e, iv))
+    return (lat.entropy(e), iv, *lat._entropy_grad_hess(e, iv), None)
 
 
 class TestCarriedState:
@@ -323,7 +325,14 @@ class TestCarriedState:
         e = lat.from_grid(ef.gaussian_on_grid(gaussian_ref_coarse, 1.0, 0.5))[None]
         *out, state = _native_step(lat, e, 0.01, 1e-12, 80)
         assert state is not None
-        assert all(np.array_equal(a, b) for a, b in zip(state, _entropy_state(lat, out[0])))
+        *fresh, _ = _entropy_state(lat, out[0])
+        *evaluated, factor = state
+        assert all(np.array_equal(a, b) for a, b in zip(evaluated, fresh, strict=True))
+        # the factor is that of the Newton system at the returned edges
+        inv_tau = 1.0 / 0.01
+        g, d, o = fresh[2:]
+        _, refactored = _newton_direction(d + inv_tau * lat._m_diag, o + inv_tau * lat._m_off, g)
+        assert all(np.array_equal(a, b) for a, b in zip(factor, refactored, strict=True))
         # a solve cut short by its iteration cap hands on nothing
         assert _native_step(lat, e, 0.01, 1e-16, 1)[-1] is None
 
@@ -338,6 +347,82 @@ class TestCarriedState:
             fresh = _native_step(lat, e, 0.01, 1e-12, 80, **kwargs)
             given = _native_step(lat, e, 0.01, 1e-12, 80, state=_entropy_state(lat, e), **kwargs)
             assert all(np.array_equal(a, b) for a, b in zip(fresh[:7], given[:7]))
+
+    @pytest.mark.parametrize("name", ["box", "box_abs"])
+    def test_pinned_factor_is_not_handed_on(self, name):
+        # a Dirac on an end cell spreads against the wall: its converged
+        # systems pin the wall edge, and their factor must not start a step
+        gamma = (
+            ef.discretize_reference(ef.box(0.0, 1.0), 200, (0.0, 1.0)) if name == "box" else CARRY_REFS[name]()
+        )
+        lat = QuantileLattice(gamma)
+        lo, hi = lat.domain
+        cfg = ef.JkoConfig(tau=0.01)
+        e = lat.from_weights(np.eye(gamma.n)[gamma.support_indices()[0]])[None]
+        state, pinned_steps = None, 0
+        for out in _flow_steps(lat, e, cfg, 0.1):
+            *carried, state = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters, state=state)
+            *alone, _ = _native_step(lat, e, cfg.tau, cfg.inner_tol, cfg.max_inner_iters)
+            assert all(np.array_equal(a, b) for a, b in zip(out, carried, strict=True))
+            assert all(np.array_equal(a, b) for a, b in zip(out, alone, strict=True))
+            # the converged system: edges at a wall pressed outward are pinned
+            edges, grad = out[0], state[2] + (1.0 / cfg.tau) * lat.metric_grad(out[0] - e)
+            pinned = ((edges <= lo + 1e-14) & (grad >= 0.0)) | ((edges >= hi - 1e-14) & (grad <= 0.0))
+            assert (state[-1] is None) == pinned.any()
+            pinned_steps += pinned.any()
+            e = out[0]
+        assert pinned_steps > 0
+
+
+class TestCountedWork:
+    """Counted LAPACK work of the Newton steps, with the iterations it must leave as they are."""
+
+    @staticmethod
+    def _count(monkeypatch, run):
+        calls = {"dpttrf": 0, "dpttrs": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(jko, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(jko, name, counted)
+        iterations, reused, step = [], [], jko._native_step
+
+        def watched(lat, e_prev, tau, *args, state=None, **kwargs):
+            # on a wall-free reference a step reuses a carried factor exactly
+            # when it starts at e_prev itself, which wide laws do
+            carried = state is not None and state[-1] is not None
+            reused.append(carried and lat.heat_kernel_start(e_prev, tau) is e_prev)
+            out = step(lat, e_prev, tau, *args, state=state, **kwargs)
+            iterations.append(out[5])
+            return out
+
+        monkeypatch.setattr(jko, "_native_step", watched)
+        run()
+        return calls["dpttrf"], calls["dpttrs"], sum(reused), np.array(iterations)
+
+    def test_semigroup_reference(self, monkeypatch):
+        # the jko semigroup benchmark's reference: 60 one-cell starts, 50 steps
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
+        run = lambda: oracles.semigroup_matrix(gamma, 0.25, ef.JkoConfig(tau=5e-3), method="jko")  # noqa: E731
+        factorizations, solves, reused, iterations = self._count(monkeypatch, run)
+        assert (factorizations, solves, reused) == (106, 155, 49)
+        # one solve per Newton iteration of the stack and one for its convergence test
+        assert solves == (iterations.max(axis=1) + 1).sum()
+        assert factorizations == solves - reused
+        # each row's iterations at each step, as they were before the factor was carried
+        expected = np.full((50, 60), 2)
+        expected[0], expected[1:3], expected[3, 22:38] = 4, 3, 3
+        assert np.array_equal(iterations, expected)
+
+    def test_flow(self, monkeypatch, gaussian_ref):
+        run = lambda: ef.jko_trajectory(  # noqa: E731
+            gaussian_ref, ef.gaussian_on_grid(gaussian_ref, 1.0, 0.5), ef.JkoConfig(tau=0.01), 0.2
+        )
+        factorizations, solves, reused, iterations = self._count(monkeypatch, run)
+        assert (factorizations, solves, reused) == (41, 60, 19)
+        assert factorizations == solves - reused
+        assert np.array_equal(iterations, np.full((20, 1), 2))
 
 
 def _one_cell_starts(gamma, lat, cells):
@@ -476,11 +561,16 @@ class TestNewtonDirection:
         diag = rng.uniform(1.0, 4.0, (rows, size)) * 10.0 ** rng.uniform(-3, 3, (rows, 1))
         off = rng.uniform(-0.45, 0.45, (rows, size - 1)) * np.sqrt(diag[:, 1:] * diag[:, :-1])
         grad = rng.normal(size=(rows, size))
-        x = _newton_direction(diag, off, grad)
+        x, factor = _newton_direction(diag, off, grad)
         assert np.array_equal(x, _banded_reference(diag, off, grad))
         # each block is the system it is alone
         for i in range(rows):
             assert np.array_equal(x[i], _banded_reference(diag[i : i + 1], off[i : i + 1], grad[i : i + 1])[0])
+        # the factor solves a new right-hand side as a fresh solve does
+        grad2 = rng.normal(size=(rows, size))
+        x2, again = _newton_direction(None, None, grad2, factor)
+        assert again is factor
+        assert np.array_equal(x2, _newton_direction(diag, off, grad2)[0])
 
     def test_non_positive_definite_block_falls_back_by_rows(self, rng):
         diag = rng.uniform(2.0, 3.0, (3, 40))
@@ -489,7 +579,8 @@ class TestNewtonDirection:
         diag[1, 7] = -1.0
         with pytest.raises(np.linalg.LinAlgError):
             _banded_reference(diag, off, grad)
-        x = _newton_direction(diag, off, grad)
+        x, factor = _newton_direction(diag, off, grad)
+        assert factor is None
         for i in (0, 2):
             assert np.array_equal(x[i], _banded_reference(diag[i : i + 1], off[i : i + 1], grad[i : i + 1])[0])
         # the failing row takes the diagonal step
@@ -499,9 +590,13 @@ class TestNewtonDirection:
     def test_non_finite_input_raises(self, rng, where):
         arrays = {"diag": rng.uniform(2.0, 3.0, (2, 20)), "off": rng.uniform(-0.5, 0.5, (2, 19)),
                   "grad": rng.normal(size=(2, 20))}
+        _, factor = _newton_direction(arrays["diag"], arrays["off"], arrays["grad"])
         arrays[where][1, 3] = np.nan
         with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
             _newton_direction(arrays["diag"], arrays["off"], arrays["grad"])
+        if where == "grad":  # the same on the path that reuses a factor
+            with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+                _newton_direction(None, None, arrays["grad"], factor)
 
 
 class TestTrajectory:

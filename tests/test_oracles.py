@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.stats import norm
 
 import entroflow as ef
@@ -132,7 +133,7 @@ class TestFpSolve:
 
 
 class TestThetaStepper:
-    """The stepper's direct dgtsv call against scipy's solve_banded."""
+    """The stepper's factored solve against scipy's solve_banded and a dgtsv loop."""
 
     @staticmethod
     def _banded_step(lower, diag, upper, dt, theta, q):
@@ -157,6 +158,30 @@ class TestThetaStepper:
         assert np.array_equal(got, self._banded_step(*bands, 1e-3, theta, q))
         # a step's output fed back in (a Fortran-ordered array for (n, B))
         assert np.array_equal(step(got), self._banded_step(*bands, 1e-3, theta, got))
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @pytest.mark.parametrize("ref", ["quadratic", "box"])
+    def test_fp_solve_equals_a_dgtsv_step_loop(self, gaussian_ref_coarse, uniform_ref, ref, theta):
+        # the stepper factors its matrix once; each step of a dgtsv loop factors it again
+        gamma = gaussian_ref_coarse if ref == "quadratic" else uniform_ref
+        mu0 = ef.dirac_on_grid(gamma, float(gamma.grid[gamma.n // 3]))
+        dt, steps = 1e-3, 60
+        sol = orc.fp_solve(gamma, mu0, steps * dt, dt, theta, times=[dt, 2 * dt, steps * dt])
+        lower, diag, upper = orc._fp_generator(gamma)
+        p, loop = gamma.grid_weights(mu0), []
+        for k in range(1, steps + 1):
+            th = 1.0 if k <= 2 else theta  # two damped startup steps
+            imp, ex = th * dt, (1.0 - th) * dt
+            rhs = p + ex * (diag * p)
+            rhs[:-1] += (ex * upper) * p[1:]
+            rhs[1:] += (ex * lower) * p[:-1]
+            *_, p, info = dgtsv(-imp * lower, 1.0 - imp * diag, -imp * upper, rhs)
+            assert info == 0
+            if p.min() < -1e-10:
+                p = np.maximum(p, 0.0)
+                p /= p.sum()
+            loop.append(p)
+        assert np.array_equal(sol.densities, np.stack([loop[0], loop[1], loop[-1]]))
 
     def test_nan_raises(self):
         gamma = ef.discretize_reference(ef.quadratic(1.0), 50, (-8.0, 8.0))
