@@ -21,8 +21,8 @@ import numpy as np
 
 from .measures import (
     ConvexPotential,
-    DiscreteMeasure,
     ReferenceMeasure,
+    _random_tilts,
     grid_measure,
     relative_entropy,
     suggested_bounds,
@@ -81,21 +81,6 @@ class SlopeCheckResult:
     report: CheckReport
 
 
-def _random_probes(gamma: ReferenceMeasure, count: int, rng) -> list[DiscreteMeasure]:
-    sup = gamma.support_indices()
-    xs = gamma.grid[sup]
-    span = xs[-1] - xs[0] if len(xs) > 1 else 1.0
-    probes = []
-    for _ in range(count):
-        bump = rng.uniform(0.2, 2.0) * np.sin(
-            rng.uniform(0.5, 5.0) * 2 * math.pi * (xs - xs[0]) / span + rng.uniform(0, 2 * math.pi)
-        )
-        w = np.zeros(gamma.n)
-        w[sup] = gamma.weights[sup] * np.exp(np.clip(bump, -8, 8))
-        probes.append(grid_measure(gamma, w))
-    return probes
-
-
 def slope_variational_check(
     u,
     gamma: ReferenceMeasure,
@@ -130,7 +115,7 @@ def slope_variational_check(
     report = CheckReport()
     violations = 0
     worst = -math.inf
-    for probe in _random_probes(gamma, probe_count, rng):
+    for probe in _random_tilts(gamma, probe_count, rng, (0.2, 2.0), (0.5, 5.0), (0, 2 * math.pi), 8.0):
         lhs = relative_entropy(probe, gamma)
         rhs = h_target - 2.0 * root_e * w2(probe, target)
         margin = rhs - lhs

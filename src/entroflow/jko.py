@@ -30,6 +30,9 @@ from scipy.special import ndtr, ndtri
 from .measures import (
     DiscreteMeasure,
     ReferenceMeasure,
+    _quantile_knots,
+    _quantile_ladder,
+    _random_tilts,
     dirac_on_grid,
     grid_measure,
 )
@@ -135,8 +138,7 @@ class QuantileLattice:
         self._support = sup
         w = np.maximum(gamma.weights[sup], self.MASS_FLOOR)
         self.cell_mass = w / w.sum()
-        self.levels = np.concatenate([[0.0], np.cumsum(self.cell_mass)])
-        self.levels[-1] = 1.0
+        self.levels = np.concatenate([[0.0], _quantile_ladder(self.cell_mass)])
         h = gamma.cell_width
         self.gamma_edges = np.concatenate(
             [gamma.grid[sup] - 0.5 * h, [gamma.grid[sup][-1] + 0.5 * h]]
@@ -276,15 +278,8 @@ class QuantileLattice:
             raise ValueError("measure has no mass on the lattice support")
         w = w / total
         keep = w > 0.0
-        cum = np.concatenate([[0.0], np.cumsum(w[keep])])
-        cum[-1] = 1.0
         lefts = self.gamma_edges[:-1][keep]
-        knots_u = np.repeat(cum, 2)[1:-1]
-        knots_x = np.empty(2 * int(keep.sum()))
-        knots_x[0::2] = lefts
-        knots_x[1::2] = lefts + h
-        u = np.clip(self.levels, 0.0, 1.0)
-        edges = np.interp(u, knots_u, knots_x)
+        edges = np.interp(self.levels, *_quantile_knots(w[keep], lefts, lefts + h))
         return np.maximum.accumulate(edges)
 
     def heat_kernel_start(self, e: np.ndarray, tau: float) -> np.ndarray:
@@ -798,23 +793,6 @@ def evi_residual_profile(traj: FlowTrajectory, nu: DiscreteMeasure) -> np.ndarra
     return _evi_residuals(lat, traj.edges, traj.entropies, traj.config.tau, e_nu, h_nu)
 
 
-def _random_smooth_members(lat: QuantileLattice, count, rng):
-    """Random finite-entropy lattice members built from bounded tilts."""
-    out = []
-    sup = lat.gamma.support_indices()
-    xs = lat.gamma.grid[sup]
-    span = xs[-1] - xs[0] if len(xs) > 1 else 1.0
-    for _ in range(count):
-        a = rng.uniform(0.2, 1.5)
-        b = rng.uniform(0.5, 4.0)
-        c = rng.uniform(-1.0, 1.0)
-        bump = a * np.sin(b * 2 * math.pi * (xs - xs[0]) / span + c)
-        w = np.zeros(lat.gamma.n)
-        w[sup] = lat.gamma.weights[sup] * np.exp(np.clip(bump, -6, 6))
-        out.append(lat.from_grid(grid_measure(lat.gamma, w)))
-    return out
-
-
 def estimate_checks(
     traj: FlowTrajectory,
     reference_traj: FlowTrajectory | None = None,
@@ -866,7 +844,8 @@ def estimate_checks(
 
     # each candidate's terms are computed once, one row at a time: a stack of
     # all 21 would hold (21, n+1) temporaries for no measurable gain
-    candidates = [lat.gamma_edges] + _random_smooth_members(lat, 20, rng)
+    tilts = _random_tilts(lat.gamma, 20, rng, (0.2, 1.5), (0.5, 4.0), (-1.0, 1.0), 6.0)
+    candidates = [lat.gamma_edges, *map(lat.from_grid, tilts)]
     cand_w2_sq = np.array([lat.w2_sq(traj.edges[0], e_nu) for e_nu in candidates])
     cand_entropy = np.array([lat.entropy(e_nu) for e_nu in candidates])
     idxs = range(1, len(traj.times))

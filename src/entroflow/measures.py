@@ -89,10 +89,6 @@ class NormSpec:
     def scaled_identity(cls, factor: float, dim: int = 1) -> "NormSpec":
         return cls.from_matrix(factor * np.eye(dim))
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def norm(self, h) -> np.ndarray | float:
         """Evaluate ||h||_A; h may be one vector or a stack of rows."""
         v = np.atleast_2d(np.asarray(h, dtype=float))
@@ -919,6 +915,51 @@ def dirac_on_grid(gamma: ReferenceMeasure, x: float) -> DiscreteMeasure:
     w = np.zeros(gamma.n)
     w[j] = 1.0
     return grid_measure(gamma, w)
+
+
+def _random_tilts(gamma: ReferenceMeasure, count: int, rng, amplitude, frequency, phase, clip):
+    """Yield ``count`` finite-entropy measures: gamma tilted by exp(a sin(2 pi b (x - x0) / span + c)).
+
+    a, b and c are drawn uniformly from the (low, high) ranges ``amplitude``,
+    ``frequency`` and ``phase``, in that order; the exponent is clipped to
+    [-clip, clip].
+    """
+    sup = gamma.support_indices()
+    xs = gamma.grid[sup]
+    span = xs[-1] - xs[0] if len(xs) > 1 else 1.0
+    for _ in range(count):
+        a, b, c = rng.uniform(*amplitude), rng.uniform(*frequency), rng.uniform(*phase)
+        bump = a * np.sin(b * 2 * math.pi * (xs - xs[0]) / span + c)
+        w = np.zeros(gamma.n)
+        w[sup] = gamma.weights[sup] * np.exp(np.clip(bump, -clip, clip))
+        yield grid_measure(gamma, w)
+
+
+# ---------------------------------------------------------------------------
+# 1-D quantile ladder
+# ---------------------------------------------------------------------------
+def _quantile_ladder(w: np.ndarray) -> np.ndarray:
+    """Cumulative levels of weights that sum to 1: never above 1, and the last exactly 1."""
+    levels = np.minimum(np.cumsum(w), 1.0)
+    levels[-1] = 1.0
+    return levels
+
+
+def _quantile_knots(w: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
+    """Knots (levels, positions) of the quantile of mass w_i spread evenly over [lefts_i, rights_i].
+
+    The pieces are ordered and w > 0; an atom is a piece with lefts_i =
+    rights_i, so its jump is a doubled knot level.
+    """
+    cum = _quantile_ladder(w)
+    levels = np.empty(2 * len(w))
+    levels[0] = 0.0
+    levels[2::2] = cum[:-1]
+    levels[1::2] = cum
+    pos = np.empty_like(levels)
+    pos[0::2] = lefts
+    pos[1::2] = rights
+    return levels, pos
 
 
 # ---------------------------------------------------------------------------

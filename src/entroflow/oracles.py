@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,6 +321,7 @@ def sde_simulate(
 
     sigma = math.sqrt(2.0 * dt)
     out = np.empty(n_paths)
+    stop = threading.Event()  # set once any block fails or the caller is interrupted
 
     def run_block(b: int) -> None:
         start = b * PATH_BLOCK
@@ -327,6 +329,8 @@ def sde_simulate(
         rng = np.random.Generator(np.random.Philox(key=[seed, b]))
         xs = np.full(m, float(x))
         for _ in range(n_steps):
+            if stop.is_set():
+                return
             xs = xs - potential.drift(xs) * dt + sigma * rng.standard_normal(m)
             if reflecting:
                 xs = _reflect(xs, lo, hi)
@@ -334,8 +338,16 @@ def sde_simulate(
 
     n_blocks = -(-n_paths // PATH_BLOCK)
     with ThreadPoolExecutor(_path_workers(n_blocks)) as pool:
-        # reading every result re-raises the first exception a block raised
-        list(pool.map(run_block, range(n_blocks)))
+        blocks = [pool.submit(run_block, b) for b in range(n_blocks)]
+        try:
+            # reading each result as it completes re-raises the first exception a block raised
+            for block in as_completed(blocks):
+                block.result()
+        except BaseException:
+            # running blocks end at their next time step, and queued ones never start
+            stop.set()
+            pool.shutdown(cancel_futures=True)
+            raise
     return SdeSample(terminal_points=out, dt=dt, n_paths=n_paths, seed=seed)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, ndtr, ndtri
 
-from .measures import DiscreteMeasure, NormSpec
+from .measures import DiscreteMeasure, NormSpec, _quantile_knots, _quantile_ladder
 
 __all__ = [
     "Coupling",
@@ -67,6 +67,12 @@ class Coupling:
             max(np.abs(row_sums - mu_w).max(), np.abs(col_sums - nu_w).max())
         )
 
+    @classmethod
+    def from_dense(cls, plan: np.ndarray, floor: float, cost: float, source, target) -> "Coupling":
+        """The entries of a dense (n, m) plan above ``floor``."""
+        rows, cols = np.nonzero(plan > floor)
+        return cls(rows=rows, cols=cols, masses=plan[rows, cols], cost=cost, source=source, target=target)
+
     def dense(self, n: int, m: int) -> np.ndarray:
         plan = np.zeros((n, m))
         np.add.at(plan, (self.rows, self.cols), self.masses)
@@ -98,32 +104,21 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, norm: NormSpec | None) -> np.ndar
 # ---------------------------------------------------------------------------
 # 1-D quantile machinery
 # ---------------------------------------------------------------------------
-def _quantile_segments(wa: np.ndarray, wb: np.ndarray):
-    """Common refinement of two cumulative weight ladders.
+def _quantile_segments(*weights):
+    """Common refinement of the cumulative ladders of several weight vectors.
 
-    Returns (ia, ib, mass): for each merged quantile segment, the atom index
-    on each side and the segment mass. Atoms with weight below cumulative
-    float resolution may not appear.
+    Returns (indices, mass): for each merged quantile segment, the atom
+    index in each weight vector and the segment mass. Atoms with weight
+    below cumulative float resolution may not appear.
     """
-    qa = np.minimum(np.cumsum(wa), 1.0)
-    qb = np.minimum(np.cumsum(wb), 1.0)
-    qa[-1] = qb[-1] = 1.0
-    levels = np.union1d(qa, qb)
+    ladders = [_quantile_ladder(w) for w in weights]
+    levels = np.unique(np.concatenate(ladders))
     prev = np.concatenate([[0.0], levels[:-1]])
     mass = levels - prev
-    mid = 0.5 * (levels + prev)
-    ia = np.minimum(np.searchsorted(qa, mid, side="left"), len(wa) - 1)
-    ib = np.minimum(np.searchsorted(qb, mid, side="left"), len(wb) - 1)
     keep = mass > 0.0
-    return ia[keep], ib[keep], mass[keep]
-
-
-def _monotone_plan(xa, wa, xb, wb):
-    """Monotone (north-west) coupling of sorted 1-D atoms with its cost."""
-    ia, ib, mass = _quantile_segments(wa, wb)
-    d = xa[ia] - xb[ib]
-    cost = float(np.dot(mass, d * d))
-    return ia, ib, mass, cost
+    # no midpoint exceeds 1, each ladder's last level, so every index is an atom's
+    mid = 0.5 * (levels + prev)[keep]
+    return [np.searchsorted(q, mid, side="left") for q in ladders], mass[keep]
 
 
 def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
@@ -135,17 +130,10 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     if mu.dim != 1 or nu.dim != 1:
         raise ValueError("w2_exact_1d needs one-dimensional measures")
     # the factory already sorts and merges atoms and keeps positive weights
-    xa, wa = mu.x, mu.weights
-    xb, wb = nu.x, nu.weights
-    ia, ib, mass, cost = _monotone_plan(xa, wa, xb, wb)
-    coupling = Coupling(
-        rows=ia,
-        cols=ib,
-        masses=mass,
-        cost=cost,
-        source=mu.support,
-        target=nu.support,
-    )
+    (ia, ib), mass = _quantile_segments(mu.weights, nu.weights)
+    d = mu.x[ia] - nu.x[ib]
+    cost = float(np.dot(mass, d * d))
+    coupling = Coupling(rows=ia, cols=ib, masses=mass, cost=cost, source=mu.support, target=nu.support)
     return TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling)
 
 
@@ -188,16 +176,7 @@ def w2_lp(
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(n, m)
-    rows, cols = np.nonzero(plan > 1e-15)
-    coupling = Coupling(
-        rows=rows,
-        cols=cols,
-        masses=plan[rows, cols],
-        cost=float(res.fun),
-        source=mu.support,
-        target=nu.support,
-    )
+    coupling = Coupling.from_dense(res.x.reshape(n, m), 1e-15, float(res.fun), mu.support, nu.support)
     return TransportResult(distance=math.sqrt(max(res.fun, 0.0)), coupling=coupling)
 
 
@@ -341,18 +320,9 @@ def w2_sinkhorn(
         estimate_sq = plan_cost - 0.5 * float(np.sum(p_aa * c_aa)) - 0.5 * float(
             np.sum(p_bb * c_bb)
         )
-    rows, cols = np.nonzero(plan > 1e-300)
-    coupling = Coupling(
-        rows=rows,
-        cols=cols,
-        masses=plan[rows, cols],
-        cost=plan_cost,
-        source=mu.support,
-        target=nu.support,
-    )
     return SinkhornResult(
         distance_estimate=math.sqrt(max(estimate_sq, 0.0)),
-        coupling=coupling,
+        coupling=Coupling.from_dense(plan, 1e-300, plan_cost, mu.support, nu.support),
         marginal_violation=viol,
         iterations=iters,
         converged=converged,
@@ -383,9 +353,8 @@ def displacement_interpolate(
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     if mu0.dim == 1 and mu1.dim == 1:
-        coupling = w2_exact_1d(mu0, mu1).coupling
-    else:
-        coupling = w2_lp(mu0, mu1).coupling
+        return interpolate_from_base(mu0, mu0, mu1, t)
+    coupling = w2_lp(mu0, mu1).coupling
     pts = (1.0 - t) * coupling.source[coupling.rows] + t * coupling.target[coupling.cols]
     return DiscreteMeasure.from_atoms(pts, coupling.masses)
 
@@ -403,19 +372,8 @@ def interpolate_from_base(
     for m in (base, nu0, nu1):
         if m.dim != 1:
             raise ValueError("base-point interpolation is one-dimensional")
-    q_base = np.cumsum(base.weights)
-    q0 = np.cumsum(nu0.weights)
-    q1 = np.cumsum(nu1.weights)
-    q_base[-1] = q0[-1] = q1[-1] = 1.0
-    levels = np.union1d(np.union1d(q_base, q0), q1)
-    prev = np.concatenate([[0.0], levels[:-1]])
-    mass = levels - prev
-    mid = 0.5 * (levels + prev)
-    j0 = np.searchsorted(q0, mid, side="left")
-    j1 = np.searchsorted(q1, mid, side="left")
-    keep = mass > 0.0
-    pts = (1.0 - t) * nu0.x[j0[keep]] + t * nu1.x[j1[keep]]
-    return DiscreteMeasure.from_atoms(pts, mass[keep])
+    (_, j0, j1), mass = _quantile_segments(base.weights, nu0.weights, nu1.weights)
+    return DiscreteMeasure.from_atoms((1.0 - t) * nu0.x[j0] + t * nu1.x[j1], mass)
 
 
 # ---------------------------------------------------------------------------
@@ -476,14 +434,7 @@ def atomic_quantile_knots(points, weights):
     order = np.argsort(x, kind="stable")
     x, w = x[order], w[order]
     keep = w > 0
-    x, w = x[keep], w[keep]
-    cum = np.minimum(np.cumsum(w), 1.0)
-    cum[-1] = 1.0
-    levels = np.empty(2 * len(x))
-    levels[0::2] = np.concatenate([[0.0], cum[:-1]])
-    levels[1::2] = cum
-    pos = np.repeat(x, 2)
-    return levels, pos
+    return _quantile_knots(w[keep], x[keep], x[keep])
 
 
 def histogram_quantile_knots(edges, weights):
@@ -495,15 +446,7 @@ def histogram_quantile_knots(edges, weights):
         raise ValueError("histogram must carry mass")
     w = w / total
     keep = w > 0
-    cum = np.minimum(np.cumsum(w[keep]), 1.0)
-    cum[-1] = 1.0
-    levels = np.empty(2 * int(keep.sum()))
-    levels[0::2] = np.concatenate([[0.0], cum[:-1]])
-    levels[1::2] = cum
-    pos = np.empty_like(levels)
-    pos[0::2] = edges[:-1][keep]
-    pos[1::2] = edges[1:][keep]
-    return levels, pos
+    return _quantile_knots(w[keep], edges[:-1][keep], edges[1:][keep])
 
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import entroflow as ef
+from entroflow.measures import _random_tilts
 
 
 @pytest.fixture(scope="session")
@@ -31,15 +32,7 @@ def rng():
 
 def random_grid_measure(gamma, rng, roughness=1.5):
     """Random finite-entropy measure on gamma's grid (bounded density tilt)."""
-    sup = gamma.support_indices()
-    xs = gamma.grid[sup]
-    span = xs[-1] - xs[0]
-    bump = rng.uniform(0.2, roughness) * np.sin(
-        rng.uniform(0.5, 4.0) * 2.0 * np.pi * (xs - xs[0]) / span + rng.uniform(0.0, 6.29)
-    )
-    w = np.zeros(gamma.n)
-    w[sup] = gamma.weights[sup] * np.exp(np.clip(bump, -6.0, 6.0))
-    return ef.grid_measure(gamma, w)
+    return next(_random_tilts(gamma, 1, rng, (0.2, roughness), (0.5, 4.0), (0.0, 6.29), 6.0))
 
 
 def random_atomic(rng, n=None, scale=1.0, shift=0.0):

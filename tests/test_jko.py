@@ -20,6 +20,7 @@ from entroflow.jko import (
     _newton_direction,
     _strictly_increasing,
 )
+from entroflow.measures import _quantile_knots
 from entroflow.transport import w2_knots_to_gaussian
 from conftest import random_grid_measure
 
@@ -553,6 +554,28 @@ class TestRarePaths:
         assert np.array_equal(gamma.grid_weights(mu), expected)
         lat = QuantileLattice(gamma)
         assert np.array_equal(lat.from_grid(mu), lat.from_weights(expected))
+
+    def test_last_edge_is_the_last_charged_cell(self):
+        # this start's cumulative weights pass 1 before its last charged cell
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 200, (-8.0, 8.0))
+        lat = QuantileLattice(gamma)
+        e = lat.from_grid(ef.gaussian_on_grid(gamma, -1.0, 0.25))
+        assert e[-1] == pytest.approx(6.96, abs=1e-12)
+
+    def test_gaussian_starts_span_their_charged_cells(self, rng):
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 200, (-8.0, 8.0))
+        lat = QuantileLattice(gamma)
+        h = gamma.cell_width
+        for _ in range(200):
+            w = gamma.grid_weights(ef.gaussian_on_grid(gamma, rng.uniform(-4.0, 4.0), rng.uniform(0.05, 2.0)))
+            charged = w > 0.0
+            levels, _ = _quantile_knots(w[charged] / w.sum(), gamma.grid[charged], gamma.grid[charged])
+            assert np.all(np.diff(levels) >= 0.0) and levels[-1] == 1.0
+            # mass outside the lattice block sits on its end cells
+            centers = np.clip(gamma.grid[charged], lat.gamma_edges[0] + 0.5 * h, lat.gamma_edges[-1] - 0.5 * h)
+            e = lat.from_weights(w)
+            assert e[0] == pytest.approx(centers[0] - 0.5 * h, abs=1e-9)
+            assert e[-1] == pytest.approx(centers[-1] + 0.5 * h, abs=1e-9)
 
 
 class TestNewtonDirection:

@@ -1,5 +1,6 @@
 import math
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,27 @@ class TestSde:
         monkeypatch.setattr(orc, "_path_workers", lambda *args: 2)
         with pytest.raises(BlockFailure, match="block 1"):
             orc.sde_simulate(FailingSecondBlock(), 0.0, 0.01, 1e-3, orc.PATH_BLOCK + 10, seed=0)
+
+    def test_block_failure_stops_the_other_blocks(self, monkeypatch):
+        class BlockFailure(Exception):
+            pass
+
+        class SlowFirstFailingSecond:
+            def finite_interval(self):
+                return (-math.inf, math.inf)
+
+            def drift(self, xs):
+                if len(xs) == 10:  # block 1 fails at its first step
+                    raise BlockFailure("block 1")
+                if len(xs) == orc.PATH_BLOCK:  # block 0 alone would run for about 30 s
+                    time.sleep(0.01)
+                return np.zeros_like(xs)
+
+        monkeypatch.setattr(orc, "_path_workers", lambda *args: 2)
+        start = time.perf_counter()
+        with pytest.raises(BlockFailure, match="block 1"):
+            orc.sde_simulate(SlowFirstFailingSecond(), 0.0, 3.0, 1e-3, orc.PATH_BLOCK + 10, seed=0)
+        assert time.perf_counter() - start < 5.0
 
     def test_path_worker_rule(self):
         # one worker per CPU in the affinity set, at most one per block and at least one

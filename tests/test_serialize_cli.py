@@ -547,7 +547,7 @@ MATRIX_RUNS = {  # run id -> (subcommand, config fields beyond the shared ones)
 MATRIX_FAILURES = {
     ("flow_gamma", "abs"): "holder_half: the grid reference is not the lattice entropy's minimizer",
     ("flow_gamma", "box_abs"): "holder_half: the grid reference is not the lattice entropy's minimizer",
-    ("dirichlet", "box"): "slope_sharpness: the one-sided end-cell gradient pushes a centre past the wall",
+    ("dirichlet", "box"): "slope_sharpness: the constant witness field's wall flux cancels its interior term, predicted ratio 0",
     ("dirichlet", "tabulated"): "slope_sharpness: achieved ratio 0.2016 below the bound 0.225",
 }
 
