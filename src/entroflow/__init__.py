@@ -21,7 +21,7 @@ _EXPORTS = {  # module -> the names the package exports from it
         grid_measure potential_from_descriptor quadratic quartic rebin_measure
         relative_entropy second_moment suggested_bounds tabulated""".split(),
     "transport": """Coupling cyclical_monotonicity_check displacement_interpolate
-        interpolate_from_base w2 w2_exact_1d w2_lp w2_sinkhorn""".split(),
+        interpolate_from_base w2 w2_exact_1d w2_lp w2_lp_batch w2_sinkhorn""".split(),
     "jko": """FlowTrajectory JkoConfig JkoSolverError QuantileLattice UNIFORM_APPROX_CONSTANT
         dirac_transport_cost estimate_checks evi_residual_profile invariance_check
         jko_step_detailed jko_trajectory refine_trajectory transition_trajectory""".split(),

@@ -55,7 +55,7 @@ from .serialize import (  # noqa: E402
     write_trajectory_csv,
 )
 from .stability import build_sequence, flow_stability_run, gamma_convergence_check  # noqa: E402
-from .transport import w2_exact_1d, w2_knots_to_gaussian, w2_lp  # noqa: E402
+from .transport import w2_exact_1d, w2_knots_to_gaussian, w2_lp_batch  # noqa: E402
 
 __all__ = ["main", "run", "ConfigError"]
 
@@ -405,12 +405,15 @@ def _cmd_check_all(c, outdir, seed, tol_scale):
         5e-3 * tol_scale,
     )
 
-    worst = 0.0
+    pairs = []
     for _ in range(20):
         n1, n2 = rng.integers(5, 40), rng.integers(5, 40)
         a = ms.DiscreteMeasure.from_atoms(rng.normal(size=n1), rng.dirichlet(np.ones(n1)))
         b = ms.DiscreteMeasure.from_atoms(rng.normal(size=n2), rng.dirichlet(np.ones(n2)))
-        worst = max(worst, abs(w2_exact_1d(a, b).distance - w2_lp(a, b).distance))
+        pairs.append((a, b))
+    worst = max(
+        abs(w2_exact_1d(a, b).distance - lp.distance) for (a, b), lp in zip(pairs, w2_lp_batch(pairs))
+    )
     report.add("quantile_vs_lp", worst, 0.0, 1e-8)
 
     sol = fp_solve(gamma, gamma.as_measure(), 0.5, 1e-3)
@@ -473,6 +476,8 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
             seed = c["oracle.seed"]
         elif not _KINDS["seed"][0](seed):
             raise ConfigError("--seed", f"expected {_KINDS['seed'][1]}")
+        if not _positive(tol_scale):
+            raise ConfigError("--tol-scale", "expected a positive finite number")
         outdir = Path(out if out is not None else c["output_dir"])
         # the outermost directory this run creates, removed again on a config error
         created = next((p for p in (*reversed(outdir.parents), outdir) if not p.exists()), None)

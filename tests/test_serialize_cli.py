@@ -406,6 +406,14 @@ class TestCliContract:
         assert lines == ["config field '--seed': expected a nonnegative integer"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
+    def test_tol_scale_override_checked(self, tmp_path, capsys, scale):
+        # inf would pass every scaled check; nan, -1 and 0 would fail them all
+        assert cli_main(["check-all", "--tol-scale", scale, "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["config field '--tol-scale': expected a positive finite number"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize(
         "kind,name,default", [("quadratic", "m", 0.25), ("quartic", "b", 0.5), ("abs", "c", 0.75)]
     )

@@ -89,6 +89,51 @@ class TestLp:
         with pytest.raises(ValueError):
             ef.w2_lp(big, big)
 
+    @staticmethod
+    def _cloud(rng, n, dim):
+        return ef.DiscreteMeasure.from_atoms(rng.normal(size=(n, dim)), rng.dirichlet(np.ones(n)))
+
+    @pytest.mark.parametrize("case", ["1d", "2d", "norm", "grouped"])
+    def test_batch_matches_one_pair_calls(self, rng, monkeypatch, case):
+        if case == "grouped":  # several programs of a few pairs each
+            monkeypatch.setattr(tr, "LP_PROGRAM_VARS", 1000)
+        dim = 2 if case == "2d" else 1
+        norm = ef.NormSpec.from_matrix([[3.0]]) if case == "norm" else None
+        pairs = [
+            (self._cloud(rng, int(rng.integers(3, 30)), dim), self._cloud(rng, int(rng.integers(3, 30)), dim))
+            for _ in range(12)
+        ]
+        batch = ef.w2_lp_batch(pairs, norm)
+        assert len(batch) == len(pairs)
+        for (a, b), res in zip(pairs, batch):
+            assert abs(res.distance - ef.w2_lp(a, b, norm).distance) <= 1e-12
+            assert res.coupling.marginal_violation(a.weights, b.weights) <= 1e-12
+
+    def test_batch_keeps_pair_order(self, rng):
+        # pairs far apart in distance and in size, so a swap of two results shows
+        pairs = [(random_atomic(rng, n=n), random_atomic(rng, n=n + 3, shift=shift))
+                 for n, shift in ((5, 10.0), (30, 0.0), (12, -4.0))]
+        batch = ef.w2_lp_batch(pairs)
+        for (a, b), res in zip(pairs, batch):
+            assert res.distance == pytest.approx(ef.w2_exact_1d(a, b).distance, abs=1e-9)
+            assert res.coupling.marginal_violation(a.weights, b.weights) <= 1e-12
+
+    def test_batch_of_no_pairs(self):
+        assert ef.w2_lp_batch([]) == []
+
+    def test_batch_size_guard_counts_the_whole_batch(self):
+        # each pair is under the guard, the batch is over it
+        n = int(math.isqrt(tr.LP_SIZE_GUARD)) // 2 + 1
+        half = ef.DiscreteMeasure.from_atoms(np.arange(n, dtype=float), np.full(n, 1.0 / n))
+        assert 4 * n * n > tr.LP_SIZE_GUARD >= n * n
+        with pytest.raises(ValueError, match="too large"):
+            ef.w2_lp_batch([(half, half)] * 4)
+
+    def test_batch_dimension_mismatch_names_the_pair(self, rng):
+        pairs = [(self._cloud(rng, 4, 1), self._cloud(rng, 5, 1)), (self._cloud(rng, 4, 1), self._cloud(rng, 5, 2))]
+        with pytest.raises(ValueError, match="pair 1"):
+            ef.w2_lp_batch(pairs)
+
 
 class TestSinkhorn:
     def test_matches_lp_at_small_epsilon(self, rng):
