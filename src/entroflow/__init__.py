@@ -9,7 +9,7 @@ references, Dirichlet-energy identities, and every quantitative estimate
 the scheme satisfies are covered by dedicated checkers.
 
 Exports load their module on first use: importing the package loads no numpy,
-so the CLI can still set the BLAS thread counts (``ENTROFLOW_THREADS``).
+so the CLI can still set its default of one BLAS thread (see ``entroflow.cli``).
 """
 import importlib
 

@@ -20,10 +20,10 @@ import time
 from collections import namedtuple
 from pathlib import Path
 
-# set before numpy first loads, below: OpenBLAS and OpenMP read their thread counts then
-if os.environ.get("ENTROFLOW_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["ENTROFLOW_THREADS"])
+# one BLAS thread unless these variables say otherwise; set before numpy first loads,
+# below, since OpenBLAS and OpenMP read their thread counts then
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
 
@@ -463,7 +463,7 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
         try:
             cfg = load_config(config_path)
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
+            print(f"config field '<root>': expected a readable JSON file ({exc})", file=sys.stderr)
             return 2
         if not isinstance(cfg, dict):
             print("config field '<root>': expected an object", file=sys.stderr)

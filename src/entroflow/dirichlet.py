@@ -252,31 +252,20 @@ def _simpson(f, a: float, b: float, n: int) -> float:
 def integration_by_parts_check(
     potential: ConvexPotential,
     u,
-    du=None,
+    du,
 ) -> IbpResult:
     """Compare int u' e^{-U} dx with int u dSigma for the boundary measure.
 
-    Both sides are integrated by composite Simpson on segments aligned with
-    the potential's kinks; the derivative defaults to fourth-order central
-    differences of u when not supplied. The density part of the measure
-    uses the analytic U' e^{-U}, with each segment's own one-sided U' at
-    its end nodes.
+    ``u`` and its derivative ``du`` are callables on coordinates. Both sides
+    are integrated by composite Simpson on segments aligned with the
+    potential's kinks. The density part of the measure uses the analytic
+    U' e^{-U}, with each segment's own one-sided U' at its end nodes.
     """
     if not callable(u):
         raise ValueError("u must be callable on coordinates")
     bounds = _segment_boundaries(potential)
     spans = np.diff(bounds)
     per = np.maximum((spans / spans.sum() * 4000).astype(int), 16)
-
-    if du is None:
-        def du_fn(x):
-            x = np.asarray(x, dtype=float)
-            step = 1e-4 * max(1.0, float(np.abs(x).max()))
-            return (
-                -u(x + 2 * step) + 8.0 * u(x + step) - 8.0 * u(x - step) + u(x - 2 * step)
-            ) / (12.0 * step)
-    else:
-        du_fn = du
 
     def slope(x, b):
         # the segment's own one-sided slope: its end nodes sit on kinks
@@ -286,7 +275,7 @@ def integration_by_parts_check(
     rhs = 0.0
     for i in range(len(spans)):
         a, b = float(bounds[i]), float(bounds[i + 1])
-        lhs += _simpson(lambda x: du_fn(x) * np.exp(-potential.value(x)), a, b, int(per[i]))
+        lhs += _simpson(lambda x: du(x) * np.exp(-potential.value(x)), a, b, int(per[i]))
         rhs += _simpson(
             lambda x: u(x) * slope(x, b) * np.exp(-potential.value(x)), a, b, int(per[i])
         )

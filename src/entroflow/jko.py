@@ -573,10 +573,9 @@ def jko_step_detailed(
     gamma: ReferenceMeasure,
     mu: DiscreteMeasure,
     cfg: JkoConfig,
-    lattice: QuantileLattice | None = None,
 ) -> tuple[DiscreteMeasure, StepInfo]:
     """One proximal step with solver diagnostics: the one-step trajectory."""
-    traj = jko_trajectory(gamma, mu, cfg, cfg.tau, lattice=lattice)
+    traj = jko_trajectory(gamma, mu, cfg, cfg.tau)
     return traj.final, traj.step_infos[0]
 
 

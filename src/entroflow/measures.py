@@ -704,17 +704,26 @@ class ReferenceMeasure:
         ok &= np.abs(self.grid[safe] - x) <= tol
         return np.where(ok, safe, -1)
 
+    def place(self, mu: "DiscreteMeasure") -> tuple[np.ndarray, np.ndarray] | None:
+        """The cells mu charges, ascending, each with the summed mass of its atoms (``locate``
+        can put distinct atoms in one cell); None if any atom is off the grid."""
+        if mu.dim != 1:
+            return None
+        idx = self.locate(mu.x)
+        if np.any(idx < 0):
+            return None
+        cells, atom_cell = np.unique(idx, return_inverse=True)
+        return cells, np.bincount(atom_cell, weights=mu.weights, minlength=len(cells))
+
     def grid_weights(self, mu: "DiscreteMeasure") -> np.ndarray:
         """mu's weights on the grid; off-grid atoms are re-binned first (``rebin_measure``)."""
         if mu.dim != 1:
             raise ValueError("measures on the grid are one-dimensional")
-        idx = self.locate(mu.x)
-        if np.any(idx < 0):
-            mu = rebin_measure(mu, self)
-            idx = self.locate(mu.x)
+        placed = self.place(mu)
+        if placed is None:
+            placed = self.place(rebin_measure(mu, self))
         w = np.zeros(self.n)
-        # distinct atoms within locate's tolerance of one centre share its cell
-        np.add.at(w, idx, mu.weights)
+        w[placed[0]] = placed[1]
         return w
 
 
@@ -965,29 +974,20 @@ def _quantile_knots(w: np.ndarray, lefts: np.ndarray, rights: np.ndarray):
 # ---------------------------------------------------------------------------
 # Entropy and bounds
 # ---------------------------------------------------------------------------
-def _match_to_grid(mu: DiscreteMeasure, gamma: ReferenceMeasure) -> np.ndarray | None:
-    """Indices of mu's atoms in gamma's grid, or None if any atom is off-grid."""
-    if mu.dim != 1:
-        return None
-    idx = gamma.locate(mu.x)
-    if np.any(idx < 0):
-        return None
-    return idx
-
-
 def relative_entropy(mu: DiscreteMeasure, gamma: ReferenceMeasure) -> float:
     """Relative entropy of mu against gamma: sum of mu_i ln(mu_i / gamma_i).
 
     Returns +inf when mu charges points off gamma's grid or cells where
     gamma vanishes; the value is an extended real, never an error.
     """
-    idx = _match_to_grid(mu, gamma)
-    if idx is None:
+    placed = gamma.place(mu)
+    if placed is None:
         return math.inf
-    gw = gamma.weights[idx]
+    cells, mass = placed
+    gw = gamma.weights[cells]
     if np.any(gw <= 0.0):
         return math.inf
-    val = float(np.sum(mu.weights * (np.log(mu.weights) - np.log(gw))))
+    val = float(np.sum(mass * (np.log(mass) - np.log(gw))))
     if -1e-10 < val < 0.0:  # float noise around the Jensen floor
         return 0.0
     return val
@@ -1000,19 +1000,20 @@ def entropy_duality_bound(mu: DiscreteMeasure, gamma: ReferenceMeasure, s) -> fl
     gamma's grid (then mu must live on that grid).
     """
     if callable(s):
-        s_mu = np.asarray(s(mu.x), dtype=float)
+        mass, s_mu = mu.weights, np.asarray(s(mu.x), dtype=float)
         s_gamma = np.asarray(s(gamma.grid), dtype=float)
     else:
         s_gamma = np.asarray(s, dtype=float).ravel()
         if len(s_gamma) != gamma.n:
             raise ValueError("grid test function must match gamma's grid")
-        idx = _match_to_grid(mu, gamma)
-        if idx is None:
+        placed = gamma.place(mu)
+        if placed is None:
             raise ValueError("mu must live on gamma's grid for grid test functions")
-        s_mu = s_gamma[idx]
+        cells, mass = placed
+        s_mu = s_gamma[cells]
     if not (np.all(np.isfinite(s_mu)) and np.all(np.isfinite(s_gamma))):
         raise ValueError("test function must be finite on the grid")
-    return float(np.dot(mu.weights, s_mu) - np.dot(gamma.weights, np.expm1(s_gamma)))
+    return float(np.dot(mass, s_mu) - np.dot(gamma.weights, np.expm1(s_gamma)))
 
 
 def second_moment(mu: DiscreteMeasure, norm: NormSpec | None = None) -> float:
@@ -1041,11 +1042,12 @@ def entropy_set_bound_check(
     e = np.zeros(gamma.n, dtype=bool)
     e[np.asarray(e_indices, dtype=int)] = True
     h = relative_entropy(nu, gamma)
-    idx = _match_to_grid(nu, gamma)
-    if idx is None:
+    placed = gamma.place(nu)
+    if placed is None:
         nu_e = 0.0  # off-grid mass: H already infinite
     else:
-        nu_e = float(nu.weights[e[idx]].sum())
+        cells, mass = placed
+        nu_e = float(mass[e[cells]].sum())
     gamma_e = float(gamma.weights[e].sum())
     if nu_e > 0.0 and gamma_e == 0.0:
         lhs = math.inf

@@ -248,11 +248,11 @@ def _weak_gaps(measures, limit) -> np.ndarray:
 # ---------------------------------------------------------------------------
 def _density_vs_limit(probe: DiscreteMeasure, limit: ReferenceMeasure, clip: float):
     """Clipped log-density of the probe against the limit, as a callable."""
-    w = np.zeros(limit.n)
-    idx = limit.locate(probe.x)
-    if np.any(idx < 0):
+    placed = limit.place(probe)
+    if placed is None:
         raise ValueError("probes must live on the limit's grid")
-    w[idx] = probe.weights
+    w = np.zeros(limit.n)
+    w[placed[0]] = placed[1]
     with np.errstate(divide="ignore", invalid="ignore"):
         log_rho = np.where(
             (w > 0) & (limit.weights > 0),
@@ -362,7 +362,6 @@ def flow_stability_run(
     T: float,
     cfg: JkoConfig,
     final_gap_tol: float = 0.05,
-    monotone_slack: float = 1e-3,
 ) -> FlowStabilityResult:
     """Transition flows under every member against the limit flow.
 
@@ -373,7 +372,7 @@ def flow_stability_run(
     unweighted one with step tau/s, so the member runs with step tau/s over
     T/s and is compared with the limit step by step. The report holds the
     sup over steps of the cross-lattice distance; the gap ladder must
-    shrink to ``final_gap_tol`` and be monotone within ``monotone_slack``.
+    shrink to ``final_gap_tol`` and be monotone within 1e-3.
     """
     x_n = list(x_n)
     if len(x_n) != len(seq.members):
@@ -401,7 +400,7 @@ def flow_stability_run(
     report = CheckReport()
     report.add("flow_gap_final", float(gaps[-1]), final_gap_tol, 0.0, f"n={seq.ns[-1]}")
     worst_increase = float(np.max(np.diff(gaps))) if len(gaps) > 1 else 0.0
-    report.add("flow_gap_monotone", worst_increase, 0.0, monotone_slack)
+    report.add("flow_gap_monotone", worst_increase, 0.0, 1e-3)
     return FlowStabilityResult(ns=seq.ns, times=traj_limit.times[1:], gaps=gaps, report=report)
 
 

@@ -315,12 +315,7 @@ def _round_to_marginals(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarr
     return p
 
 
-def w2_sinkhorn(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    epsilon: float,
-    debias: bool = False,
-) -> SinkhornResult:
+def w2_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon: float) -> SinkhornResult:
     """Entropically regularized transport by stabilized kernel-domain scaling.
 
     The regularization is continued geometrically (factor 2) from a coarse
@@ -328,42 +323,26 @@ def w2_sinkhorn(
     plan is then projected onto the transport polytope, so the reported
     marginal violation is at rounding level. The distance estimate is the
     square root of the plan cost (entropy excluded), which decreases to the
-    exact LP value as epsilon -> 0; ``debias`` subtracts the two
-    self-transport plan costs.
+    exact LP value as epsilon -> 0.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    a, b = mu.weights, nu.weights
     cost = _cost_matrix(mu.support, nu.support, None)
-
-    def solve(c, wa, wb):
-        scale = max(float(np.mean(c)), epsilon)
-        ladder = [epsilon]
-        while ladder[-1] * 2.0 < 0.2 * scale:
-            ladder.append(ladder[-1] * 2.0)
-        g = np.zeros(len(wb))
-        total_it = 0
-        for eps in reversed(ladder):
-            g, p, it, ok = _sinkhorn_level(wa, wb, c, eps, g)
-            total_it += it
-        p = _round_to_marginals(p, wa, wb)
-        viol = max(
-            np.abs(p.sum(axis=1) - wa).max(), np.abs(p.sum(axis=0) - wb).max()
-        )
-        return p, viol, total_it, ok
-
-    plan, viol, iters, converged = solve(cost, mu.weights, nu.weights)
+    scale = max(float(np.mean(cost)), epsilon)
+    ladder = [epsilon]
+    while ladder[-1] * 2.0 < 0.2 * scale:
+        ladder.append(ladder[-1] * 2.0)
+    g = np.zeros(len(b))
+    iters = 0
+    for eps in reversed(ladder):
+        g, plan, it, converged = _sinkhorn_level(a, b, cost, eps, g)
+        iters += it
+    plan = _round_to_marginals(plan, a, b)
+    viol = max(np.abs(plan.sum(axis=1) - a).max(), np.abs(plan.sum(axis=0) - b).max())
     plan_cost = float(np.sum(plan * cost))
-    estimate_sq = plan_cost
-    if debias:
-        c_aa = _cost_matrix(mu.support, mu.support, None)
-        c_bb = _cost_matrix(nu.support, nu.support, None)
-        p_aa, _, _, _ = solve(c_aa, mu.weights, mu.weights)
-        p_bb, _, _, _ = solve(c_bb, nu.weights, nu.weights)
-        estimate_sq = plan_cost - 0.5 * float(np.sum(p_aa * c_aa)) - 0.5 * float(
-            np.sum(p_bb * c_bb)
-        )
     return SinkhornResult(
-        distance_estimate=math.sqrt(max(estimate_sq, 0.0)),
+        distance_estimate=math.sqrt(max(plan_cost, 0.0)),
         coupling=Coupling.from_dense(plan, 1e-300, plan_cost, mu.support, nu.support),
         marginal_violation=viol,
         iterations=iters,
@@ -505,8 +484,8 @@ def w2_quantile_knots(knots_a, knots_b) -> float:
     ua, xa = knots_a
     ub, xb = knots_b
     levels = np.union1d(ua, ub)
-    if levels[0] > 0.0:
-        levels = np.concatenate([[0.0], levels])
+    if levels[0] != 0.0:
+        raise ValueError("quantile knots must start at level 0")
     seg = np.diff(levels)
     mid = 0.5 * (levels[:-1] + levels[1:])
     lo_node = mid - _GAUSS_OFFSET * seg
@@ -528,12 +507,8 @@ def w2_knots_to_gaussian(knots, mean: float, std: float) -> float:
         raise ValueError("std must be positive")
     u = np.asarray(knots[0], dtype=float)
     x = np.asarray(knots[1], dtype=float)
-    if u[0] > 0.0:
-        u = np.concatenate([[0.0], u])
-        x = np.concatenate([[x[0]], x])
-    if u[-1] < 1.0:
-        u = np.concatenate([u, [1.0]])
-        x = np.concatenate([x, [x[-1]]])
+    if u[0] != 0.0 or u[-1] != 1.0:
+        raise ValueError("quantile knots must span the levels [0, 1]")
     du = np.diff(u)
     dx = np.diff(x)
     c = x[:-1] - mean

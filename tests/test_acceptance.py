@@ -312,10 +312,10 @@ def test_criterion_10_transport_layer(rng):
     a = random_atomic(rng, n=200)
     b = random_atomic(rng, n=200, shift=1.0)
     scale = float(np.mean((a.x[:, None] - b.x[None, :]) ** 2))
-    lp = ef.w2_lp(a, b).distance
+    exact = ef.w2_exact_1d(a, b).distance
     sk = ef.w2_sinkhorn(a, b, epsilon=1e-3 * scale)
     assert sk.marginal_violation < 1e-9
-    sk_gap = abs(sk.distance_estimate - lp)
+    sk_gap = abs(sk.distance_estimate - exact)
     assert sk_gap <= 1e-3 * max(1.0, math.sqrt(scale))
 
     for _ in range(30):
@@ -325,7 +325,7 @@ def test_criterion_10_transport_layer(rng):
         assert ef.w2(x, x) <= 1e-12
     _passline(
         10,
-        f"quantile==LP to {worst:.1e}; Sinkhorn-LP gap {sk_gap:.1e}; metric axioms to 1e-9",
+        f"quantile==LP to {worst:.1e}; Sinkhorn-exact gap {sk_gap:.1e}; metric axioms to 1e-9",
     )
 
 
@@ -338,8 +338,7 @@ def test_criterion_11_stability(rng):
         seq = st.build_sequence(kind, base, ns=(4, 16, 64), grid_n=400)
         x = 1.0 if kind == "variance_perturbed" else 0.3
         res = st.flow_stability_run(
-            seq, [x] * 3, x, 1.0, ef.JkoConfig(tau=5e-3), final_gap_tol=0.05,
-            monotone_slack=1e-3,
+            seq, [x] * 3, x, 1.0, ef.JkoConfig(tau=5e-3), final_gap_tol=0.05
         )
         assert res.report.passed, f"{kind}: {res.report}"
         gaps_report.append((kind, res.gaps))

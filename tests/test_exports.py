@@ -79,8 +79,10 @@ def test_threads_variable_set_before_numpy_loads(tmp_path):
     cfg.write_text(json.dumps(SMALL_CONFIG))
     blas = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in blas}
-    out = _fresh_python(THREADS_PROBE, cfg, tmp_path / "o", env={**env, "ENTROFLOW_THREADS": "3"})
-    assert json.loads(out) == {"code": 0, "seen": ["3"]}
+    # one thread by default; a count already in the environment wins
+    for preset, seen in (({}, "1"), ({"OPENBLAS_NUM_THREADS": "3"}, "3")):
+        out = _fresh_python(THREADS_PROBE, cfg, tmp_path / seen, env={**env, **preset})
+        assert json.loads(out) == {"code": 0, "seen": [seen]}
 
 
 def test_benchmark_layers_resolve():

@@ -176,7 +176,7 @@ class TestStep:
         lat = QuantileLattice(gamma)
         x = float(gamma.grid[gamma.n // 3])
         for mu in (gamma.as_measure(), ef.dirac_on_grid(gamma, x)):
-            out, info = ef.jko_step_detailed(gamma, mu, cfg, lattice=lat)
+            out, info = ef.jko_step_detailed(gamma, mu, cfg)
             # the one-step flow, run directly through the Newton kernel
             e_prev = lat.from_grid(mu)
             e, value, ent, w2s, residual, iters, converged = (

@@ -230,6 +230,23 @@ class TestEntropy:
             assert h > 1e-6  # distinct from gamma
         assert ef.relative_entropy(gaussian_ref.as_measure(), gaussian_ref) == 0.0
 
+    def test_atoms_sharing_a_cell_are_its_one_atom_twin(self):
+        # two distinct atoms within locate's tolerance of cell 30 charge it with their summed mass
+        from entroflow.stability import _density_vs_limit
+
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))
+        x = float(gamma.grid[30])
+        shared = ef.DiscreteMeasure.from_atoms([x, x + 1e-12], [0.5, 0.5])
+        twin = ef.dirac_on_grid(gamma, x)
+        assert len(shared.x) == 2 and len(twin.x) == 1
+        h = ef.relative_entropy(twin, gamma)
+        assert h == pytest.approx(-math.log(gamma.weights[30]), rel=1e-12)
+        assert ef.relative_entropy(shared, gamma) == h
+        assert ef.entropy_set_bound_check(shared, gamma, [30]) == ef.entropy_set_bound_check(twin, gamma, [30])
+        s = np.sin(gamma.grid)
+        assert ef.entropy_duality_bound(shared, gamma, s) == ef.entropy_duality_bound(twin, gamma, s)
+        assert np.array_equal(_density_vs_limit(shared, gamma, 30.0)[1], _density_vs_limit(twin, gamma, 30.0)[1])
+
 
 class TestDualityBound:
     def test_zero_witness(self, gaussian_ref, rng):

@@ -370,6 +370,13 @@ PROBE_IDS += ["flow-times-below-0", "flow-times-past-horizon"]
 # fp stores whole steps of oracle.dt, within [0, horizon]
 CONFIG_PROBES += [("fp", {"times": [0.05, 0.5]}, "times"), ("fp", {"times": [0.015]}, "times")]
 PROBE_IDS += ["fp-times-past-horizon", "fp-times-not-multiple"]
+# a parent of a field that is not an object, an object field that is not one, an unknown sequence
+CONFIG_PROBES += [
+    ("flow", {"grid": 5}, "grid"),
+    ("flow", {"potential": 5}, "potential"),
+    ("stability", {"sequence": {"kind": "spiral", "ns": [4, 16]}}, "sequence.kind"),
+]
+PROBE_IDS += ["flow-grid-not-object", "flow-potential-not-object", "stability-sequence.kind-unknown"]
 
 
 def _write_config(tmp_path, cfg):
@@ -388,6 +395,24 @@ class TestCliContract:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"config field '{field}': ")
         assert not (tmp_path / "o").exists()  # rejected before any work started
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            (None, "expected a readable JSON file ("),
+            ("{", "expected a readable JSON file ("),
+            ("[1, 2]", "expected an object"),
+        ],
+        ids=["missing-file", "invalid-json", "root-not-object"],
+    )
+    def test_unusable_config_names_root(self, tmp_path, capsys, text, expected):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        assert cli_main(["flow", str(path), "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config field '<root>': {expected}")
+        assert not (tmp_path / "o").exists()
 
     def test_box_with_partly_infinite_inner_runs(self, tmp_path):
         # the inner box cuts the outer one down to [-0.5, 1]; the lattice must stay inside it

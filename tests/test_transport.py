@@ -156,11 +156,6 @@ class TestSinkhorn:
         ]
         assert estimates[0] >= estimates[1] >= estimates[2] >= lp - 1e-9
 
-    def test_self_distance_debiased(self, rng):
-        a = random_atomic(rng, n=60)
-        res = ef.w2_sinkhorn(a, a, epsilon=1e-2, debias=True)
-        assert res.distance_estimate == pytest.approx(0.0, abs=1e-8)
-
 
 def _log_domain_level(a, b, cost, eps, g):
     """Log-domain Sinkhorn level: the loop the kernel-domain scaling replaced."""
@@ -436,3 +431,12 @@ class TestQuantileKnotMetric:
         )
         k = histogram_quantile_knots(edges, gaussian_ref.weights)
         assert w2_quantile_knots(k, k) == 0.0
+
+    def test_knots_must_span_the_levels(self):
+        # every knot builder starts at level 0 and ends at 1; anything else is rejected, not padded
+        for u in ([0.2, 1.0], [0.0, 0.8]):
+            with pytest.raises(ValueError, match="knots"):
+                w2_knots_to_gaussian((np.array(u), np.array([0.0, 1.0])), 0.0, 1.0)
+        late = (np.array([0.2, 1.0]), np.array([0.0, 1.0]))
+        with pytest.raises(ValueError, match="knots"):
+            w2_quantile_knots(late, late)
