@@ -29,11 +29,13 @@ import numpy as np  # noqa: E402
 
 from . import __version__, measures as ms  # noqa: E402
 from .dirichlet import (  # noqa: E402
+    _slope_witness,
     boundary_measure_1d,
     integration_by_parts_check,
     slope_variational_check,
 )
 from .jko import (  # noqa: E402
+    REFERENCE_W2_SLACK,
     UNIFORM_APPROX_CONSTANT,
     JkoConfig,
     QuantileLattice,
@@ -44,7 +46,7 @@ from .jko import (  # noqa: E402
     transition_trajectory,
     whole_steps,
 )
-from .oracles import fp_solve, reversibility_check, sde_simulate  # noqa: E402
+from .oracles import FP_THETA, fp_solve, reversibility_check, sde_simulate  # noqa: E402
 from .report import CheckReport  # noqa: E402
 from .serialize import (  # noqa: E402
     load_config,
@@ -274,7 +276,7 @@ def _cmd_flow(c, outdir, seed, tol_scale):
         write_measure_csv(outdir / f"measure_t{t:g}.csv", traj.measure_at(float(t)))
 
     report = estimate_checks(traj, rng=np.random.default_rng(seed))
-    worst_increase = float(np.max(np.diff(traj.entropies))) if len(traj.entropies) > 1 else 0.0
+    worst_increase = float(np.max(np.diff(traj.entropies)))  # a flow has at least one step
     report.add("entropy_nonincreasing", worst_increase, 0.0, c["tolerances.entropy_decrease"])
     return report, {
         "final_entropy": float(traj.entropies[-1]),
@@ -319,7 +321,7 @@ def _cmd_fp(c, outdir, seed, tol_scale):
     report = CheckReport()
     report.add("mass_conserved", sol.mass_error, 0.0, 1e-9)
     report.add("nonnegative", float(-sol.min_density), 0.0, 1e-10)
-    return report, {"dt": dt, "theta": sol.theta}
+    return report, {"dt": dt, "theta": FP_THETA}
 
 
 def _cmd_sde(c, outdir, seed, tol_scale):
@@ -370,10 +372,7 @@ def _cmd_dirichlet(c, outdir, seed, tol_scale):
     ibp = integration_by_parts_check(gamma.potential, np.sin, np.cos)
     report.add("integration_by_parts_gap", ibp.gap, 0.0, c["tolerances.ibp"])
 
-    u_vals = np.exp(gamma.grid / 4.0)
-    res = slope_variational_check(
-        u_vals, gamma, probe_count=50, rng=np.random.default_rng(seed)
-    )
+    res = slope_variational_check(_slope_witness(gamma), gamma, probe_count=50, rng=np.random.default_rng(seed))
     report.extend(res.report)
     return report, {"total_variation": sigma.total_variation}
 
@@ -402,7 +401,7 @@ def _cmd_check_all(c, outdir, seed, tol_scale):
         "reference_invariant",
         lat.w2(stationary.edges[-1], stationary.edges[0]),
         0.0,
-        5e-3 * tol_scale,
+        REFERENCE_W2_SLACK * tol_scale,
     )
 
     pairs = []
@@ -435,7 +434,7 @@ def _cmd_check_all(c, outdir, seed, tol_scale):
             1e-6,
         )
 
-    res = slope_variational_check(np.exp(gamma.grid / 4.0), gamma, probe_count=25, rng=rng)
+    res = slope_variational_check(_slope_witness(gamma), gamma, probe_count=25, rng=rng)
     report.extend(res.report)
     return report, {}
 
@@ -522,7 +521,3 @@ def main(argv=None) -> int:
         print("config field '<root>': missing (config file required)", file=sys.stderr)
         return 2
     return run(args.command, args.config, args.out, args.seed, args.tol_scale)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -60,6 +60,10 @@ __all__ = [
 # <= C sqrt(tau * H(start)); C = 2 (2 sqrt(2) + 1)
 UNIFORM_APPROX_CONSTANT = 2.0 * (2.0 * math.sqrt(2.0) + 1.0)
 
+# W2 that a flow started at the grid reference may move: the grid gamma is not
+# the lattice entropy's minimizer, so the flow drifts off it by about this much
+REFERENCE_W2_SLACK = 5e-3
+
 
 def _ceil_steps(t: float, dt: float) -> int:
     """Steps of dt that reach time t: ceil(t / dt), forgiving 1e-9 of a step of rounding."""
@@ -796,7 +800,8 @@ def estimate_checks(
     traj: FlowTrajectory,
     reference_traj: FlowTrajectory | None = None,
     companion_traj: FlowTrajectory | None = None,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> CheckReport:
     """Structural estimates of the scheme, as one report.
 
@@ -808,8 +813,9 @@ def estimate_checks(
         over gamma and 20 sampled test measures;
     (e) for single-cell starts, the transition-entropy bound
         H(flow_t) <= W2^2(delta_x, gamma) / (2t).
+
+    ``rng`` samples the Hoelder pairs of long flows and the test measures of (d).
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     lat = traj.lattice
     report = CheckReport()
     h0 = traj.entropies[0]
@@ -878,8 +884,8 @@ def invariance_check(
     """Flag candidates left in place by the flow over horizon t.
 
     Exactly the reference measure should be invariant; the report holds one
-    item per candidate (gamma-like candidates must stay within 5e-3 in W2,
-    the rest must move by more).
+    item per candidate (gamma-like candidates must stay within
+    ``REFERENCE_W2_SLACK`` in W2, the rest must move by more).
     """
     gm = gamma.as_measure()
     lat = QuantileLattice(gamma)
@@ -892,7 +898,7 @@ def invariance_check(
             mu.weights, gm.weights, atol=1e-12
         )
         if is_gamma:
-            report.add(f"invariance_gamma_{i}", moved, 0.0, 5e-3, "reference must stay")
+            report.add(f"invariance_gamma_{i}", moved, 0.0, REFERENCE_W2_SLACK, "reference must stay")
         else:
-            report.add(f"invariance_moves_{i}", 5e-3, moved, 0.0, f"moved {moved:.3e}")
+            report.add(f"invariance_moves_{i}", REFERENCE_W2_SLACK, moved, 0.0, f"moved {moved:.3e}")
     return report

@@ -4,7 +4,9 @@ A conservative finite-difference Fokker-Planck scheme, closed-form
 transition laws (Ornstein-Uhlenbeck and the reflected heat kernel on an
 interval), and Euler-Maruyama path simulation. All three are independent
 of the variational flow and of each other, which is what makes the
-cross-checks meaningful.
+cross-checks meaningful. The semigroup checks at the end take either the
+Fokker-Planck scheme or, with ``semigroup_matrix(method="jko")``, the
+proximal flow itself.
 """
 from __future__ import annotations
 
@@ -54,7 +56,6 @@ class FpSolution:
     times: np.ndarray
     densities: np.ndarray  # (len(times), n)
     dt: float
-    theta: float
     min_density: float
     mass_error: float
 
@@ -88,6 +89,9 @@ def _fp_generator(gamma: ReferenceMeasure):
     diag[:-1] -= lower
     diag[1:] -= upper
     return lower, diag, upper
+
+
+FP_THETA = 0.5  # Crank-Nicolson, after the two damped (theta = 1) start steps of fp_solve
 
 
 def _theta_stepper(lower, diag, upper, dt: float, theta: float):
@@ -129,17 +133,15 @@ def fp_solve(
     mu0: DiscreteMeasure,
     T: float,
     dt: float,
-    theta: float = 0.5,
     times: list[float] | None = None,
 ) -> FpSolution:
-    """Theta-scheme solve of d/dt u = (u' + V' u)' on gamma's grid.
+    """Crank-Nicolson solve of d/dt u = (u' + V' u)' on gamma's grid.
 
     mu0 is placed on the grid as the flow places its start
-    (``ReferenceMeasure.grid_weights``). The default time discretization
-    is Crank-Nicolson with two damped (fully implicit) startup steps, which
-    removes the ringing a rough initial condition would otherwise excite.
-    Box potentials get the correct no-flux behavior from the closed
-    boundary faces.
+    (``ReferenceMeasure.grid_weights``). The first two steps are damped
+    (fully implicit), which removes the ringing a rough initial condition
+    would otherwise excite. Box potentials get the correct no-flux
+    behavior from the closed boundary faces.
 
     ``times`` selects the stored steps: each entry must be a whole number
     of steps of dt (within 1e-9 of one) between 0 and the last step, and
@@ -157,15 +159,8 @@ def fp_solve(
             raise ValueError(f"times must be whole steps of dt in [0, {n_steps * dt:g}]")
 
     lower, diag, upper = _fp_generator(gamma)
-    if theta < 0.5:
-        # explicit-dominated schemes are only conditionally stable
-        rate = float(np.abs(diag).max())
-        if (1.0 - theta) * dt * rate > 1.0:
-            raise ValueError(
-                f"stability violation: (1-theta) dt max|L| = {(1 - theta) * dt * rate:.2f} > 1"
-            )
     damped = _theta_stepper(lower, diag, upper, dt, 1.0)
-    stepper = _theta_stepper(lower, diag, upper, dt, theta)
+    stepper = _theta_stepper(lower, diag, upper, dt, FP_THETA)
 
     p = gamma.grid_weights(mu0)
     stored_times, dens = [], []
@@ -185,7 +180,6 @@ def fp_solve(
         times=np.asarray(stored_times),
         densities=np.reshape(dens, (-1, gamma.n)),
         dt=dt,
-        theta=theta,
         min_density=min_density,
         mass_error=abs(float(p.sum()) - 1.0),
     )
@@ -265,7 +259,6 @@ class SdeSample:
     terminal_points: np.ndarray
     dt: float
     n_paths: int
-    seed: int
 
     def empirical(self) -> DiscreteMeasure:
         pts = self.terminal_points
@@ -348,7 +341,7 @@ def sde_simulate(
             stop.set()
             pool.shutdown(cancel_futures=True)
             raise
-    return SdeSample(terminal_points=out, dt=dt, n_paths=n_paths, seed=seed)
+    return SdeSample(terminal_points=out, dt=dt, n_paths=n_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +371,7 @@ def semigroup_matrix(
         dt = dt if dt is not None else max(t / 400.0, 1e-4)
         lower, diag, upper = _fp_generator(gamma)
         # column j of the one-step matrix is the step of cell j
-        m = _theta_stepper(lower, diag, upper, dt, 0.5)(np.eye(n))
+        m = _theta_stepper(lower, diag, upper, dt, FP_THETA)(np.eye(n))
         u = np.linalg.matrix_power(m, _ceil_steps(t, dt))
         return np.clip(u.T, 0.0, None) / np.clip(u.T, 0.0, None).sum(axis=1, keepdims=True)
     if method == "jko":

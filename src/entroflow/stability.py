@@ -60,7 +60,6 @@ class ReferenceSequence:
     members: list[ReferenceMeasure]
     limit: ReferenceMeasure
     ns: tuple[int, ...]
-    kind: str
     norms: list[NormSpec] | None = None
 
     def weak_convergence_gaps(self) -> np.ndarray:
@@ -197,7 +196,7 @@ def build_sequence(
         return discretize_reference(pot, grid_n, dom if all(map(math.isfinite, dom)) else suggested_bounds(pot))
 
     members = [reference(_SEQUENCE_MEMBERS[kind](base, n)) for n in ns]
-    return ReferenceSequence(members=members, limit=reference(base), ns=tuple(ns), kind=kind)
+    return ReferenceSequence(members=members, limit=reference(base), ns=tuple(ns))
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +348,6 @@ def gamma_convergence_check(
 # ---------------------------------------------------------------------------
 @dataclass
 class FlowStabilityResult:
-    ns: tuple[int, ...]
-    times: np.ndarray
     gaps: np.ndarray  # (len(ns),) sup over steps of W2(member flow, limit flow)
     report: CheckReport
 
@@ -401,7 +398,7 @@ def flow_stability_run(
     report.add("flow_gap_final", float(gaps[-1]), final_gap_tol, 0.0, f"n={seq.ns[-1]}")
     worst_increase = float(np.max(np.diff(gaps))) if len(gaps) > 1 else 0.0
     report.add("flow_gap_monotone", worst_increase, 0.0, 1e-3)
-    return FlowStabilityResult(ns=seq.ns, times=traj_limit.times[1:], gaps=gaps, report=report)
+    return FlowStabilityResult(gaps=gaps, report=report)
 
 
 # ---------------------------------------------------------------------------

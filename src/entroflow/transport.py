@@ -31,7 +31,6 @@ __all__ = [
     "displacement_interpolate",
     "interpolate_from_base",
     "cyclical_monotonicity_check",
-    "MonotonicityResult",
 ]
 
 MARGINAL_TOL = 1e-9
@@ -58,7 +57,6 @@ class Coupling:
     rows: np.ndarray
     cols: np.ndarray
     masses: np.ndarray
-    cost: float
     source: np.ndarray  # (n, k) support of the first marginal
     target: np.ndarray  # (m, k)
 
@@ -72,10 +70,10 @@ class Coupling:
         )
 
     @classmethod
-    def from_dense(cls, plan: np.ndarray, floor: float, cost: float, source, target) -> "Coupling":
+    def from_dense(cls, plan: np.ndarray, floor: float, source, target) -> "Coupling":
         """The entries of a dense (n, m) plan above ``floor``."""
         rows, cols = np.nonzero(plan > floor)
-        return cls(rows=rows, cols=cols, masses=plan[rows, cols], cost=cost, source=source, target=target)
+        return cls(rows=rows, cols=cols, masses=plan[rows, cols], source=source, target=target)
 
     def dense(self, n: int, m: int) -> np.ndarray:
         plan = np.zeros((n, m))
@@ -137,7 +135,7 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     (ia, ib), mass = _quantile_segments(mu.weights, nu.weights)
     d = mu.x[ia] - nu.x[ib]
     cost = float(np.dot(mass, d * d))
-    coupling = Coupling(rows=ia, cols=ib, masses=mass, cost=cost, source=mu.support, target=nu.support)
+    coupling = Coupling(rows=ia, cols=ib, masses=mass, source=mu.support, target=nu.support)
     return TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling)
 
 
@@ -217,7 +215,7 @@ def _lp_program(pairs, norm):
         plan = res.x[start : start + c.size].reshape(c.shape)
         start += c.size
         cost = float(np.vdot(c, plan))
-        coupling = Coupling.from_dense(plan, 1e-15, cost, mu.support, nu.support)
+        coupling = Coupling.from_dense(plan, 1e-15, mu.support, nu.support)
         out.append(TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling))
     return out
 
@@ -343,7 +341,7 @@ def w2_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon: float) -> Sin
     plan_cost = float(np.sum(plan * cost))
     return SinkhornResult(
         distance_estimate=math.sqrt(max(plan_cost, 0.0)),
-        coupling=Coupling.from_dense(plan, 1e-300, plan_cost, mu.support, nu.support),
+        coupling=Coupling.from_dense(plan, 1e-300, mu.support, nu.support),
         marginal_violation=viol,
         iterations=iters,
         converged=converged,
@@ -400,19 +398,8 @@ def interpolate_from_base(
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class MonotonicityResult:
-    violations: int
-    trials: int
-    worst_gap: float
-
-
-def cyclical_monotonicity_check(
-    coupling: Coupling,
-    trials: int,
-    rng: np.random.Generator | None = None,
-) -> MonotonicityResult:
-    """Sample support tuples and permutations; count optimality violations.
+def cyclical_monotonicity_check(coupling: Coupling, trials: int, rng: np.random.Generator) -> int:
+    """Sample support tuples and permutations; return the count of optimality violations.
 
     Optimal plans satisfy sum_i c(x_i, y_perm(i)) >= sum_i c(x_i, y_i) for
     every finite support family and permutation; a permutation counts as a
@@ -420,12 +407,10 @@ def cyclical_monotonicity_check(
     """
     if len(coupling.masses) < 2:
         raise ValueError("coupling needs at least two support pairs")
-    rng = rng if rng is not None else np.random.default_rng(0)
     xs = coupling.source[coupling.rows]
     ys = coupling.target[coupling.cols]
     n_pairs = len(coupling.masses)
     violations = 0
-    worst = 0.0
     for _ in range(trials):
         ell = int(rng.integers(2, min(5, n_pairs) + 1))
         pick = rng.choice(n_pairs, size=ell, replace=False)
@@ -434,11 +419,9 @@ def cyclical_monotonicity_check(
         dy = ys[pick]
         base = float(np.sum((dx - dy) ** 2))
         shuffled = float(np.sum((dx - dy[perm]) ** 2))
-        gap = base - shuffled
-        if gap > 1e-10:
+        if base - shuffled > 1e-10:
             violations += 1
-            worst = max(worst, gap)
-    return MonotonicityResult(violations=violations, trials=trials, worst_gap=worst)
+    return violations
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import entroflow as ef
 from entroflow.measures import _random_tilts
+
+# hypothesis settings of the property tests: the same examples on every run, a bounded count
+PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -59,7 +59,7 @@ class TestSlopeCharacterization:
         assert res.sharpness_ratio >= 0.9
         assert res.report.passed, str(res.report)
 
-    def test_probe_at_target_is_equality(self, gaussian_ref, rng):
+    def test_probe_at_target_is_equality(self, gaussian_ref):
         vals = np.exp(gaussian_ref.grid / 4.0)
         sup = gaussian_ref.support_indices()
         norm = math.sqrt(float(np.dot(gaussian_ref.weights[sup], vals[sup] ** 2)))
@@ -68,12 +68,21 @@ class TestSlopeCharacterization:
         w[sup] = gaussian_ref.weights[sup] * vals[sup] ** 2
         target = ef.grid_measure(gaussian_ref, w)
         h = ef.relative_entropy(target, gaussian_ref)
-        # at mu = u^2 gamma the inequality reads H >= H - 0
-        assert h >= h - 1e-15
+        # at mu = u^2 gamma, W2(mu, u^2 gamma) = 0 exactly, so the inequality's two sides are equal
+        assert ef.w2(target, target) == 0.0
+        rhs = h - 2.0 * math.sqrt(dr.dirichlet_energy(vals, gaussian_ref)) * ef.w2(target, target)
+        assert rhs - h == 0.0
+
+    def test_violations_are_counted(self, gaussian_ref, rng, monkeypatch):
+        # with W2 read as 0 the inequality claims H(probe) >= H(u^2 gamma), which probes of lower entropy break
+        monkeypatch.setattr(dr, "w2", lambda mu, nu: 0.0)
+        res = dr.slope_variational_check(np.exp(gaussian_ref.grid / 4.0), gaussian_ref, probe_count=20, rng=rng)
+        assert res.inequality_violations > 0
+        assert not res.report.passed
 
     def test_rejects_nonpositive(self, gaussian_ref):
         with pytest.raises(ValueError):
-            dr.slope_variational_check(gaussian_ref.grid.copy(), gaussian_ref, probe_count=1)
+            dr.slope_variational_check(gaussian_ref.grid.copy(), gaussian_ref, probe_count=1, rng=np.random.default_rng(0))
 
     def test_catalog_sweep(self, gaussian_ref, rng):
         catalog = [

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -66,6 +67,14 @@ class TestPotentialCatalog:
         for pot, bounds in pots:
             gam = ef.discretize_reference(pot, 400, bounds)
             assert ef.discrete_log_concavity_ok(gam), pot.kind
+
+    def test_log_concavity_needs_a_contiguous_support(self):
+        gamma = ef.discretize_reference(ef.quadratic(1.0), 40, (-8.0, 8.0))
+        w = np.array(gamma.weights)
+        w[20] = 0.0
+        assert not ef.discrete_log_concavity_ok(dataclasses.replace(gamma, weights=w / w.sum()))
+        # two cells have no midpoint to test
+        assert ef.discrete_log_concavity_ok(ef.discretize_reference(ef.box(0.0, 1.0), 2, (0.0, 1.0)))
 
     def test_tabulated_requires_convexity(self):
         xs = np.linspace(-1, 1, 21)
@@ -215,6 +224,17 @@ class TestEntropy:
     def test_mass_off_support_is_infinite(self, uniform_ref):
         mu = ef.DiscreteMeasure.from_atoms([0.5, 3.0], [0.5, 0.5])
         assert math.isinf(ef.relative_entropy(mu, uniform_ref))
+        # a grid cell where gamma vanishes: the padded grid has cells outside the box
+        gamma = ef.discretize_reference(ef.box(0.0, 1.0), 60, (-0.5, 1.5))
+        assert math.isinf(ef.relative_entropy(ef.DiscreteMeasure.from_atoms([gamma.grid[0]], [1.0]), gamma))
+        # planar atoms are off the one-dimensional grid
+        assert math.isinf(ef.relative_entropy(ef.DiscreteMeasure.from_atoms([[0.5, 0.0]], [1.0]), uniform_ref))
+
+    def test_never_negative_next_to_the_reference(self, gaussian_ref, rng):
+        # a relative change of 1e-9 leaves a true value near 1e-18, below the sum's rounding
+        for _ in range(50):
+            w = gaussian_ref.weights * (1.0 + 1e-9 * rng.standard_normal(gaussian_ref.n))
+            assert ef.relative_entropy(ef.grid_measure(gaussian_ref, w), gaussian_ref) >= 0.0
 
     def test_gaussian_closed_form(self, gaussian_ref):
         # H(N(0.5, 0.25) | N(0,1)) = (s^2 + m^2 - 1 - ln s^2) / 2
@@ -321,6 +341,20 @@ class TestSetBound:
         gam_e = gaussian_ref.weights[e_set].sum()
         assert res.lhs == pytest.approx(nu_e * math.log(nu_e / gam_e), rel=1e-12)
         assert res.holds
+
+    def test_sets_nu_misses_or_gamma_misses(self):
+        gamma = ef.discretize_reference(ef.box(0.0, 1.0), 60, (-0.5, 1.5))
+        outside = np.flatnonzero(gamma.weights == 0.0)
+        # nu(E) = 0: the left side is 0
+        res = ef.entropy_set_bound_check(gamma.as_measure(), gamma, outside)
+        assert (res.lhs, res.holds) == (0.0, True)
+        # nu charges E where gamma vanishes: both sides are infinite, and the bound holds
+        spread = ef.grid_measure(gamma, np.ones(gamma.n))
+        res = ef.entropy_set_bound_check(spread, gamma, outside)
+        assert math.isinf(res.lhs) and math.isinf(res.rhs) and res.holds
+        # an atom off the grid: H is infinite and nu(E) counts as 0
+        res = ef.entropy_set_bound_check(ef.DiscreteMeasure.from_atoms([0.5], [1.0]), gamma, np.arange(gamma.n))
+        assert res.lhs == 0.0 and math.isinf(res.rhs) and res.holds
 
     def test_random_pairs(self, gaussian_ref, rng):
         for _ in range(500):

@@ -14,14 +14,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import entroflow as ef
 import entroflow.stability as stability
+from conftest import PROPERTY
 from entroflow.cli import main as cli_main
-
-PROPERTY = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,20 @@ class TestSerialization:
         header = path.read_text().splitlines()[0]
         assert header == "coord_1,weight"
 
+    def test_atomic_write_leaves_nothing_on_failure(self, tmp_path):
+        with pytest.raises(TypeError):
+            ser.atomic_write_text(tmp_path / "out.txt", 123)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_check_report_text_lists_each_item(self):
+        report = ef.CheckReport()
+        report.add("small", 1e-3, 0.0, 1e-2)
+        report.add("large", 2.0, 1.0)
+        assert str(report).splitlines() == [
+            "[PASS] small: value=0.001 bound=0 tol=0.01",
+            "[FAIL] large: value=2 bound=1 tol=0",
+        ]
+
     def test_two_dim_header(self, tmp_path, rng):
         mu = ef.DiscreteMeasure.from_atoms(rng.normal(size=(10, 2)), np.full(10, 0.1))
         path = tmp_path / "m2.csv"

@@ -135,6 +135,12 @@ class TestGammaConvergence:
         report = st.gamma_convergence_check(variance_seq, [probe])
         assert report.passed, str(report)
 
+    def test_far_from_the_origin(self):
+        # at m = 100 the recovery tilt exp(-0.1 x^2) underflows to 0 on every cell, and only eps = 0.01 recovers
+        seq = st.build_sequence("variance_perturbed", ef.quadratic(1.0, 100.0), ns=(4, 16, 64), grid_n=400)
+        report = st.gamma_convergence_check(seq, [ef.gaussian_on_grid(seq.limit, 100.5, 0.5)])
+        assert report.passed, str(report)
+
     def test_support_violation_reported(self, box_seq):
         # probe with mass outside [0,1]: limit entropy infinite
         pts = np.concatenate([np.linspace(0.1, 0.9, 9), [1.6]])
