@@ -15,8 +15,7 @@ import importlib
 
 _EXPORTS = {  # module -> the names the package exports from it
     "measures": """AbsPotential AffineMaxPotential BoxPotential ConvexPotential DiscreteMeasure
-        NormSpec QuadraticPotential QuarticPotential ReferenceMeasure TabulatedPotential
-        abs_potential affine_max bin_to_grid box dirac_on_grid discrete_log_concavity_ok
+        QuadraticPotential QuarticPotential ReferenceMeasure TabulatedPotential abs_potential affine_max bin_to_grid box dirac_on_grid discrete_log_concavity_ok
         discretize_reference entropy_duality_bound entropy_set_bound_check gaussian_on_grid
         grid_measure potential_from_descriptor quadratic quartic rebin_measure
         relative_entropy second_moment suggested_bounds tabulated""".split(),

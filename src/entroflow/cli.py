@@ -480,7 +480,10 @@ def run(command: str, config_path: str | None, out: str | None, seed: int | None
         outdir = Path(out if out is not None else c["output_dir"])
         # the outermost directory this run creates, removed again on a config error
         created = next((p for p in (*reversed(outdir.parents), outdir) if not p.exists()), None)
-        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out" if out is not None else "output_dir", f"cannot create the directory ({exc})")
         manifest = {"config": cfg, "version": __version__, "seed": seed}
         report, entries = _COMMANDS[command](c, outdir, seed, tol_scale)
     except ConfigError as exc:

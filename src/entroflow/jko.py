@@ -418,9 +418,13 @@ def _native_step(
     if math.isfinite(hi):
         spill = e[:, -1] > hi  # the tie-repair ramp may spill over a wall
         if spill.any():
-            e = np.where(spill[:, None], e - (e[:, -1:] - hi), e)
-            if np.any(e[spill, 0] < lo - 1e-12 * max(1.0, abs(lo))):
-                raise RuntimeError("degenerate edges exceed the domain span")
+            shifted = e - (e[:, -1:] - hi)
+            # a row held at both walls has no room to shift: it is squeezed affinely into [lo, hi]
+            squeeze = spill & (shifted[:, 0] < lo - 1e-12 * max(1.0, abs(lo)))
+            if squeeze.any():
+                r = e[squeeze]
+                shifted[squeeze] = np.clip(lo + (r - r[:, :1]) * ((hi - lo) / (r[:, -1:] - r[:, :1])), lo, hi)
+            e = np.where(spill[:, None], shifted, e)
 
     def objective(edges):
         iv = pot.cell_integrals(edges)

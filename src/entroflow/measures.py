@@ -1,6 +1,6 @@
 """Discrete probability measures and log-concave reference measures.
 
-The state space is R^k with k in {1, 2}. Reference measures are built from a
+The state space is the real line. Reference measures are built from a
 catalog of convex potentials V via gamma = exp(-V)/Z on a uniform grid;
 relative entropy, its duality lower bounds, and the discrete log-concavity
 structure are computed against that grid.
@@ -18,7 +18,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 __all__ = [
-    "NormSpec",
     "ConvexPotential",
     "QuadraticPotential",
     "QuarticPotential",
@@ -54,47 +53,6 @@ __all__ = [
 WEIGHT_SUM_TOL = 1e-9
 TAIL_MASS_TOL = 1e-12
 TRUNCATION_LEVEL = 40.0  # bounds must reach V >= min V + this
-
-
-# ---------------------------------------------------------------------------
-# Norms
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class NormSpec:
-    """Symmetric positive-definite quadratic form ||h||_A = sqrt(h' A h).
-
-    ``kappa`` is the smallest constant with (1/kappa)||h|| <= ||h||_A <=
-    kappa ||h|| for all h, derived from the eigenvalues of A.
-    """
-
-    matrix: np.ndarray
-    kappa: float
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "NormSpec":
-        a = np.atleast_2d(np.asarray(matrix, dtype=float))
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("norm matrix must be square")
-        if not np.allclose(a, a.T, atol=1e-12):
-            raise ValueError("norm matrix must be symmetric")
-        eig = np.linalg.eigvalsh(a)
-        if eig[0] <= 0:
-            raise ValueError("norm matrix must be positive definite")
-        kappa = max(math.sqrt(eig[-1]), 1.0 / math.sqrt(eig[0]), 1.0)
-        a = a.copy()
-        a.setflags(write=False)
-        return cls(matrix=a, kappa=float(kappa))
-
-    @classmethod
-    def scaled_identity(cls, factor: float, dim: int = 1) -> "NormSpec":
-        return cls.from_matrix(factor * np.eye(dim))
-
-    def norm(self, h) -> np.ndarray | float:
-        """Evaluate ||h||_A; h may be one vector or a stack of rows."""
-        v = np.atleast_2d(np.asarray(h, dtype=float))
-        q = np.einsum("ni,ij,nj->n", v, self.matrix, v)
-        out = np.sqrt(np.maximum(q, 0.0))
-        return float(out[0]) if np.ndim(h) <= 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -707,8 +665,6 @@ class ReferenceMeasure:
     def place(self, mu: "DiscreteMeasure") -> tuple[np.ndarray, np.ndarray] | None:
         """The cells mu charges, ascending, each with the summed mass of its atoms (``locate``
         can put distinct atoms in one cell); None if any atom is off the grid."""
-        if mu.dim != 1:
-            return None
         idx = self.locate(mu.x)
         if np.any(idx < 0):
             return None
@@ -717,8 +673,6 @@ class ReferenceMeasure:
 
     def grid_weights(self, mu: "DiscreteMeasure") -> np.ndarray:
         """mu's weights on the grid; off-grid atoms are re-binned first (``rebin_measure``)."""
-        if mu.dim != 1:
-            raise ValueError("measures on the grid are one-dimensional")
         placed = self.place(mu)
         if placed is None:
             placed = self.place(rebin_measure(mu, self))
@@ -831,20 +785,20 @@ def suggested_bounds(potential: ConvexPotential, level: float = TRUNCATION_LEVEL
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Weighted point cloud: probabilities on finitely many points of R^k."""
+    """Weighted atoms on the line: distinct points ``x`` in ascending order with positive ``weights``."""
 
-    support: np.ndarray  # (n, k)
+    x: np.ndarray  # (n,)
     weights: np.ndarray  # (n,)
 
     @classmethod
     def from_atoms(cls, points, weights) -> "DiscreteMeasure":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
+        x = np.asarray(points, dtype=float)
         w = np.asarray(weights, dtype=float).ravel()
-        if len(pts) != len(w):
+        if x.ndim != 1:
+            raise ValueError("points must be a flat array of coordinates")
+        if len(x) != len(w):
             raise ValueError("points and weights must align")
-        if not np.all(np.isfinite(pts)):
+        if not np.all(np.isfinite(x)):
             raise ValueError("support coordinates must be finite")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
@@ -859,38 +813,24 @@ class DiscreteMeasure:
         w = w / total
 
         keep = w > 0.0
-        pts, w = pts[keep], w[keep]
-        order = np.lexsort(pts.T[::-1])
-        pts, w = pts[order], w[order]
+        x, w = x[keep], w[keep]
+        order = np.argsort(x, kind="stable")
+        x, w = x[order], w[order]
         # merge exactly coincident atoms so support points stay distinct
-        if len(pts) > 1:
-            same = np.all(pts[1:] == pts[:-1], axis=1)
+        if len(x) > 1:
+            same = x[1:] == x[:-1]
             if same.any():
                 group = np.concatenate([[0], np.cumsum(~same)])
-                n_groups = group[-1] + 1
-                merged_w = np.zeros(n_groups)
+                merged_w = np.zeros(group[-1] + 1)
                 np.add.at(merged_w, group, w)
-                first = np.concatenate([[True], ~same])
-                pts, w = pts[first], merged_w
-        pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
+                x, w = x[np.concatenate([[True], ~same])], merged_w
+        x.setflags(write=False)
         w.setflags(write=False)
-        return cls(support=pts, weights=w)
+        return cls(x=x, weights=w)
 
     @property
     def n(self) -> int:
         return len(self.weights)
-
-    @property
-    def dim(self) -> int:
-        return self.support.shape[1]
-
-    @property
-    def x(self) -> np.ndarray:
-        """Flat coordinates, only valid in one dimension."""
-        if self.dim != 1:
-            raise ValueError("x is defined for 1-D measures only")
-        return self.support[:, 0]
 
 
 def grid_measure(gamma: ReferenceMeasure, weights) -> DiscreteMeasure:
@@ -1016,12 +956,9 @@ def entropy_duality_bound(mu: DiscreteMeasure, gamma: ReferenceMeasure, s) -> fl
     return float(np.dot(mass, s_mu) - np.dot(gamma.weights, np.expm1(s_gamma)))
 
 
-def second_moment(mu: DiscreteMeasure, norm: NormSpec | None = None) -> float:
-    """Sum of w_i ||x_i||^2, optionally in a NormSpec metric."""
-    if norm is None:
-        return float(np.dot(mu.weights, np.einsum("ij,ij->i", mu.support, mu.support)))
-    v = norm.norm(mu.support)
-    return float(np.dot(mu.weights, np.asarray(v) ** 2))
+def second_moment(mu: DiscreteMeasure) -> float:
+    """Sum of w_i x_i^2."""
+    return float(np.dot(mu.weights, mu.x * mu.x))
 
 
 @dataclass(frozen=True)
@@ -1098,6 +1035,6 @@ def bin_to_grid(points, masses, grid: np.ndarray) -> np.ndarray:
 
 
 def rebin_measure(mu: DiscreteMeasure, gamma: ReferenceMeasure) -> DiscreteMeasure:
-    """Project a 1-D measure onto gamma's grid by linear mass splitting."""
+    """Project a measure onto gamma's grid by linear mass splitting."""
     w = bin_to_grid(mu.x, mu.weights, gamma.grid)
     return grid_measure(gamma, w)

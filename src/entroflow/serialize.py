@@ -1,9 +1,10 @@
 """CSV/JSON artifact writers and config loading.
 
-Measures travel as CSV point clouds with a JSON sidecar describing the
-reference; couplings as sparse triplets; trajectories as per-step
-diagnostic rows. Manifests are JSON with sorted keys so equal runs produce
-byte-identical files (timestamps excepted). All writes are atomic.
+Measures travel as CSV atoms (``coord_1,weight`` rows), references with a
+JSON sidecar describing them; couplings as sparse triplets; trajectories
+as per-step diagnostic rows. Manifests are JSON with sorted keys so equal
+runs produce byte-identical files (timestamps excepted). All writes are
+atomic.
 """
 from __future__ import annotations
 
@@ -80,28 +81,29 @@ def write_csv(path, header: list[str], rows) -> None:
     atomic_write_text(Path(path), _csv_text(header, rows))
 
 
+MEASURE_HEADER = ["coord_1", "weight"]
+
+
 def write_measure_csv(path, mu: DiscreteMeasure) -> None:
-    header = [f"coord_{i + 1}" for i in range(mu.dim)] + ["weight"]
-    write_csv(path, header, np.column_stack([mu.support, mu.weights]))
+    write_csv(path, MEASURE_HEADER, np.column_stack([mu.x, mu.weights]))
 
 
 def read_measure_csv(path) -> DiscreteMeasure:
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
-        header = next(reader)
-        k = len(header) - 1
-        pts, ws = [], []
-        for row in reader:
-            pts.append([float(v) for v in row[:k]])
-            ws.append(float(row[k]))
-    return DiscreteMeasure.from_atoms(np.asarray(pts), np.asarray(ws))
+        header = next(reader, None)
+        if header != MEASURE_HEADER:
+            raise ValueError(f"{path}: expected the header {','.join(MEASURE_HEADER)}, got {header}")
+        rows = [(float(x), float(w)) for x, w in reader]
+    x, w = np.array(rows).reshape(-1, 2).T
+    return DiscreteMeasure.from_atoms(x, w)
 
 
 def write_reference(path_base, gamma: ReferenceMeasure) -> None:
     """CSV of grid weights plus a JSON sidecar with the construction data."""
     base = Path(path_base)
     rows = np.column_stack([gamma.grid, gamma.weights])
-    write_csv(base.with_suffix(".csv"), ["coord_1", "weight"], rows)
+    write_csv(base.with_suffix(".csv"), MEASURE_HEADER, rows)
     sidecar = {
         "potential": gamma.potential.descriptor(),
         "bounds": [gamma.bounds[0], gamma.bounds[1]],

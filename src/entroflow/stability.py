@@ -20,7 +20,6 @@ from .measures import (
     BoxPotential,
     ConvexPotential,
     DiscreteMeasure,
-    NormSpec,
     QuadraticPotential,
     ReferenceMeasure,
     affine_max,
@@ -60,7 +59,7 @@ class ReferenceSequence:
     members: list[ReferenceMeasure]
     limit: ReferenceMeasure
     ns: tuple[int, ...]
-    norms: list[NormSpec] | None = None
+    norms: list[float] | None = None  # one metric weight s per member: ||h||^2 = s h^2
 
     def weak_convergence_gaps(self) -> np.ndarray:
         """Sup over a bounded-Lipschitz dictionary of integral gaps per member."""
@@ -364,10 +363,10 @@ def flow_stability_run(
 
     Every flow starts from the uniform law of width h, the limit's cell
     width, whatever its member's grid: centred at x_n under gamma_n and at
-    x under the limit, shifted into the domain. A member norm s, when norms
-    are supplied, weights the metric; that proximal problem is the
-    unweighted one with step tau/s, so the member runs with step tau/s over
-    T/s and is compared with the limit step by step. The report holds the
+    x under the limit, shifted into the domain. A member's metric weight s
+    in ``seq.norms``, when given, weights the metric; that proximal problem
+    is the unweighted one with step tau/s, so the member runs with step
+    tau/s over T/s and is compared with the limit step by step. The report holds the
     sup over steps of the cross-lattice distance; the gap ladder must
     shrink to ``final_gap_tol`` and be monotone within 1e-3.
     """
@@ -387,7 +386,7 @@ def flow_stability_run(
     lat_limit, traj_limit = flow(seq.limit, x)
     gaps = []
     for i, member in enumerate(seq.members):
-        s = 1.0 if seq.norms is None else float(seq.norms[i].matrix[0, 0])
+        s = 1.0 if seq.norms is None else seq.norms[i]
         lat, traj = flow(member, x_n[i], s)
         worst = 0.0
         for e, e_limit in zip(traj.edges[1:], traj_limit.edges[1:], strict=True):
@@ -421,20 +420,21 @@ class MomentsConvergenceResult:
 def moments_convergence_check(
     mu_seq: list[DiscreteMeasure],
     mu: DiscreteMeasure,
-    norms: list[NormSpec] | None = None,
+    norms: list[float] | None = None,
     tol: float = 1e-2,
 ) -> MomentsConvergenceResult:
     """Weak + second-moment convergence against Wasserstein convergence.
 
     All three gap ladders are computed numerically; convergence of the
-    first two is equivalent to convergence of the third.
+    first two is equivalent to convergence of the third. Member i's second
+    moment is weighted by its metric weight s_i in ``norms``, if given.
     """
     weak = _weak_gaps([(m.x, m.weights) for m in mu_seq], (mu.x, mu.weights))
     mom, wass = [], []
     m_ref = second_moment(mu)
     for i, m in enumerate(mu_seq):
-        norm = norms[i] if norms is not None else None
-        mom.append(abs(second_moment(m, norm) - m_ref))
+        s = 1.0 if norms is None else norms[i]
+        mom.append(abs(s * second_moment(m) - m_ref))
         wass.append(w2(m, mu))
     mom, wass = map(np.asarray, (mom, wass))
     return MomentsConvergenceResult(
@@ -452,20 +452,22 @@ def w2_lsc_check(
     nu_seq: list[DiscreteMeasure],
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
-    norms: list[NormSpec] | None = None,
+    norms: list[float] | None = None,
 ) -> CheckReport:
     """Lower semicontinuity and convergence of weighted distances.
 
-    (i) the liminf of the member distances dominates the limit distance;
-    (ii) when both sequences converge with second moments, the weighted
-    distances converge to the limit distance. Both allow 1e-2.
+    Member i's distance is sqrt(s_i) W2 for its metric weight s_i in
+    ``norms`` (1 when none are given). (i) the liminf of the member
+    distances dominates the limit distance; (ii) when both sequences
+    converge with second moments, the weighted distances converge to the
+    limit distance. Both allow 1e-2.
     """
     tol = 1e-2
     report = CheckReport()
     dists = []
     for i in range(len(mu_seq)):
-        norm = norms[i] if norms is not None else None
-        dists.append(w2(mu_seq[i], nu_seq[i], norm))
+        s = 1.0 if norms is None else norms[i]
+        dists.append(math.sqrt(s) * w2(mu_seq[i], nu_seq[i]))
     dists = np.asarray(dists)
     target = w2(mu, nu)
     tail = dists[len(dists) // 2 :]

@@ -1,8 +1,9 @@
-"""Quadratic-cost optimal transport between discrete measures.
+"""Quadratic-cost optimal transport between discrete measures on the line.
 
-Three solver tiers: the exact monotone quantile coupling in one dimension,
-an exact linear program for small instances in any supported dimension, and
-stabilized Sinkhorn scaling for large grids. Displacement interpolation and
+On the line the monotone quantile coupling is optimal, so ``w2`` is the exact
+L2 distance of the quantile functions. Two solvers that do not use that
+structure serve as cross-checks: an exact linear program for small instances
+and stabilized Sinkhorn scaling for large ones. Displacement interpolation and
 cyclical-monotonicity diagnostics are built on top.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp, ndtr, ndtri
 
-from .measures import DiscreteMeasure, NormSpec, _quantile_knots, _quantile_ladder
+from .measures import DiscreteMeasure, _quantile_knots, _quantile_ladder
 
 __all__ = [
     "Coupling",
@@ -57,8 +58,8 @@ class Coupling:
     rows: np.ndarray
     cols: np.ndarray
     masses: np.ndarray
-    source: np.ndarray  # (n, k) support of the first marginal
-    target: np.ndarray  # (m, k)
+    source: np.ndarray  # (n,) support of the first marginal
+    target: np.ndarray  # (m,)
 
     def marginal_violation(self, mu_w: np.ndarray, nu_w: np.ndarray) -> float:
         row_sums = np.zeros(len(mu_w))
@@ -96,11 +97,9 @@ class SinkhornResult:
     converged: bool
 
 
-def _cost_matrix(x: np.ndarray, y: np.ndarray, norm: NormSpec | None) -> np.ndarray:
-    diff = x[:, None, :] - y[None, :, :]
-    if norm is None:
-        return np.einsum("ijk,ijk->ij", diff, diff)
-    return np.einsum("ijk,kl,ijl->ij", diff, norm.matrix, diff)
+def _cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    d = x[:, None] - y[None, :]
+    return d * d
 
 
 # ---------------------------------------------------------------------------
@@ -129,32 +128,26 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     The monotone coupling is optimal for convex costs; the squared distance
     is the exact integral of the squared quantile gap over [0, 1].
     """
-    if mu.dim != 1 or nu.dim != 1:
-        raise ValueError("w2_exact_1d needs one-dimensional measures")
     # the factory already sorts and merges atoms and keeps positive weights
     (ia, ib), mass = _quantile_segments(mu.weights, nu.weights)
     d = mu.x[ia] - nu.x[ib]
     cost = float(np.dot(mass, d * d))
-    coupling = Coupling(rows=ia, cols=ib, masses=mass, source=mu.support, target=nu.support)
+    coupling = Coupling(rows=ia, cols=ib, masses=mass, source=mu.x, target=nu.x)
     return TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling)
 
 
 # ---------------------------------------------------------------------------
 # Exact LP
 # ---------------------------------------------------------------------------
-def w2_lp(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, norm: NormSpec | None = None
-) -> TransportResult:
+def w2_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact transportation linear program (HiGHS) on the dense cost matrix.
 
-    Supplying ``norm`` prices displacements in the associated quadratic
-    form. Guarded to n*m <= 1e7 variables. The one-pair call of
-    ``w2_lp_batch``.
+    Guarded to n*m <= 1e7 variables. The one-pair call of ``w2_lp_batch``.
     """
-    return w2_lp_batch([(mu, nu)], norm)[0]
+    return w2_lp_batch([(mu, nu)])[0]
 
 
-def w2_lp_batch(pairs, norm: NormSpec | None = None) -> list[TransportResult]:
+def w2_lp_batch(pairs) -> list[TransportResult]:
     """Exact transportation LPs of many (mu, nu) pairs, solved together.
 
     Pair k's n*m plan entries and its n + m marginal rows form block k of a
@@ -171,26 +164,23 @@ def w2_lp_batch(pairs, norm: NormSpec | None = None) -> list[TransportResult]:
     if sum(n * m for n, m in sizes) > LP_SIZE_GUARD:
         shapes = " + ".join(f"{n}x{m}" for n, m in sizes)
         raise ValueError(f"instance too large for the exact LP ({shapes})")
-    for k, (mu, nu) in enumerate(pairs):
-        if mu.dim != nu.dim:
-            raise ValueError(f"dimension mismatch in pair {k}")
     out, group, size = [], [], 0
     for pair, (n, m) in zip(pairs, sizes):
         if group and size + n * m > LP_PROGRAM_VARS:
-            out += _lp_program(group, norm)
+            out += _lp_program(group)
             group, size = [], 0
         group.append(pair)
         size += n * m
-    return out + _lp_program(group, norm) if group else out
+    return out + _lp_program(group) if group else out
 
 
-def _lp_program(pairs, norm):
+def _lp_program(pairs):
     """One HiGHS program whose diagonal blocks are the pairs' transportation LPs."""
     # the package's one deferred import: the LP stack (about 15 MB) loads only for an LP
     from scipy import sparse
     from scipy.optimize import linprog
 
-    costs = [_cost_matrix(mu.support, nu.support, norm) for mu, nu in pairs]
+    costs = [_cost_matrix(mu.x, nu.x) for mu, nu in pairs]
     # every plan entry (i, j) of a block sits in two rows: its source row i and its
     # target row n + j, offset by the rows of the blocks before it
     rows, row_off = [], 0
@@ -215,7 +205,7 @@ def _lp_program(pairs, norm):
         plan = res.x[start : start + c.size].reshape(c.shape)
         start += c.size
         cost = float(np.vdot(c, plan))
-        coupling = Coupling.from_dense(plan, 1e-15, mu.support, nu.support)
+        coupling = Coupling.from_dense(plan, 1e-15, mu.x, nu.x)
         out.append(TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling))
     return out
 
@@ -326,7 +316,7 @@ def w2_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon: float) -> Sin
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     a, b = mu.weights, nu.weights
-    cost = _cost_matrix(mu.support, nu.support, None)
+    cost = _cost_matrix(mu.x, nu.x)
     scale = max(float(np.mean(cost)), epsilon)
     ladder = [epsilon]
     while ladder[-1] * 2.0 < 0.2 * scale:
@@ -341,25 +331,16 @@ def w2_sinkhorn(mu: DiscreteMeasure, nu: DiscreteMeasure, epsilon: float) -> Sin
     plan_cost = float(np.sum(plan * cost))
     return SinkhornResult(
         distance_estimate=math.sqrt(max(plan_cost, 0.0)),
-        coupling=Coupling.from_dense(plan, 1e-300, mu.support, nu.support),
+        coupling=Coupling.from_dense(plan, 1e-300, mu.x, nu.x),
         marginal_violation=viol,
         iterations=iters,
         converged=converged,
     )
 
 
-def w2(mu: DiscreteMeasure, nu: DiscreteMeasure, norm: NormSpec | None = None) -> float:
-    """Quadratic Wasserstein distance, dispatching to the exact solvers.
-
-    One-dimensional inputs use the quantile coupling (a scalar norm only
-    rescales it); anything else goes through the LP.
-    """
-    if mu.dim == 1 and nu.dim == 1:
-        base = w2_exact_1d(mu, nu).distance
-        if norm is None:
-            return base
-        return math.sqrt(float(norm.matrix[0, 0])) * base
-    return w2_lp(mu, nu, norm).distance
+def w2(mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
+    """Quadratic Wasserstein distance: the quantile distance of ``w2_exact_1d``."""
+    return w2_exact_1d(mu, nu).distance
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +349,10 @@ def w2(mu: DiscreteMeasure, nu: DiscreteMeasure, norm: NormSpec | None = None) -
 def displacement_interpolate(
     mu0: DiscreteMeasure, mu1: DiscreteMeasure, t: float
 ) -> DiscreteMeasure:
-    """Geodesic interpolation ((1-t) x + t y) pushed through an optimal plan."""
+    """Geodesic interpolation ((1-t) x + t y) pushed through the monotone plan."""
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    if mu0.dim == 1 and mu1.dim == 1:
-        return interpolate_from_base(mu0, mu0, mu1, t)
-    coupling = w2_lp(mu0, mu1).coupling
-    pts = (1.0 - t) * coupling.source[coupling.rows] + t * coupling.target[coupling.cols]
-    return DiscreteMeasure.from_atoms(pts, coupling.masses)
+    return interpolate_from_base(mu0, mu0, mu1, t)
 
 
 def interpolate_from_base(
@@ -388,9 +365,6 @@ def interpolate_from_base(
     every refined piece; this realizes the curve used in the quadrilateral
     convexity inequality exactly.
     """
-    for m in (base, nu0, nu1):
-        if m.dim != 1:
-            raise ValueError("base-point interpolation is one-dimensional")
     (_, j0, j1), mass = _quantile_segments(base.weights, nu0.weights, nu1.weights)
     return DiscreteMeasure.from_atoms((1.0 - t) * nu0.x[j0] + t * nu1.x[j1], mass)
 

@@ -92,3 +92,22 @@ def test_reference_edges_give_back_reference_weights(kind, data):
     lat = ef.QuantileLattice(gamma)
     gap = np.abs(lat.to_grid_weights(lat.gamma_edges) - gamma.weights).sum()
     assert gap <= gamma.n * ef.QuantileLattice.MASS_FLOOR
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_flow_steps_descend(kind, data):
+    # the proximal step's output is no worse than its start or gamma, and the entropy never rises
+    gamma = data.draw(references(kind))
+    lat = ef.QuantileLattice(gamma)
+    e0 = lat.from_weights(data.draw(grid_laws(gamma)))
+    tau = data.draw(st.floats(1e-3, 0.5))
+    traj = ef.jko_trajectory(gamma, None, ef.JkoConfig(tau=tau), 3 * tau, lattice=lat, initial_edges=e0)
+    h = traj.entropies
+    objective = traj.step_infos[0].objective
+    at_gamma = lat.entropy(lat.gamma_edges) + 0.5 * lat.w2_sq(lat.gamma_edges, e0) / tau
+    slack = 1e-9 * (1.0 + abs(objective))
+    assert objective <= h[0] + slack
+    assert objective <= at_gamma + slack
+    assert len(h) == 4 and all(b <= a + 1e-9 * (1.0 + abs(b)) for a, b in zip(h, h[1:]))

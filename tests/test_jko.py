@@ -525,6 +525,28 @@ class TestRarePaths:
         path.write_text(json.dumps(cfg))
         assert cli_main(["transition", str(path), "--out", str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("tau", [0.5, 0.01])
+    def test_start_held_at_both_walls_is_squeezed(self, tau):
+        # half the mass in each end cell of a box: the repaired start spills over the top
+        # wall, and shifting it back would push its first edge below the bottom one
+        gamma = ef.discretize_reference(ef.box(0.0, 3.0), 20, (-0.75, 3.75))
+        lat = QuantileLattice(gamma)
+        lo, hi = lat.domain
+        sup = gamma.support_indices()
+        w = np.zeros(gamma.n)
+        w[[sup[0], sup[-1]]] = 0.5
+        e0 = lat.from_weights(w)
+        repaired = _strictly_increasing(_clamp(lat.heat_kernel_start(e0[None], tau), lo, hi))
+        assert repaired[0, -1] > hi and repaired[0, 0] - (repaired[0, -1] - hi) < lo
+        traj = ef.jko_trajectory(gamma, ef.grid_measure(gamma, w), ef.JkoConfig(tau=tau), tau)
+        e = traj.edges[-1]
+        assert lo <= e[0] and e[-1] <= hi and np.all(np.diff(e) > 0.0)
+        assert np.isfinite(traj.entropies[-1])
+        # a row that needs no squeeze gives the same bits in a stack with one that does
+        other = lat.from_grid(ef.dirac_on_grid(gamma, 1.5))
+        stacked = _native_step(lat, np.stack([e0, other]), tau, 1e-12, 80)[0]
+        assert np.array_equal(stacked[1], _native_step(lat, other[None], tau, 1e-12, 80)[0][0])
+
     def test_line_search_stall_ends_the_solve(self):
         # a tolerance no float decrement reaches: the line search stalls first
         gamma = ef.discretize_reference(ef.quadratic(1.0), 60, (-8.0, 8.0))

@@ -227,8 +227,6 @@ class TestEntropy:
         # a grid cell where gamma vanishes: the padded grid has cells outside the box
         gamma = ef.discretize_reference(ef.box(0.0, 1.0), 60, (-0.5, 1.5))
         assert math.isinf(ef.relative_entropy(ef.DiscreteMeasure.from_atoms([gamma.grid[0]], [1.0]), gamma))
-        # planar atoms are off the one-dimensional grid
-        assert math.isinf(ef.relative_entropy(ef.DiscreteMeasure.from_atoms([[0.5, 0.0]], [1.0]), uniform_ref))
 
     def test_never_negative_next_to_the_reference(self, gaussian_ref, rng):
         # a relative change of 1e-9 leaves a true value near 1e-18, below the sum's rounding
@@ -306,15 +304,6 @@ class TestSecondMoment:
         mu = ef.gaussian_on_grid(gaussian_ref, 0.0, 1.0)
         assert ef.second_moment(mu) == pytest.approx(1.0, abs=1e-4)
 
-    def test_two_dimensional(self):
-        mu = ef.DiscreteMeasure.from_atoms([[0.0, 0.0], [3.0, 4.0]], [0.5, 0.5])
-        assert ef.second_moment(mu) == pytest.approx(12.5)
-
-    def test_weighted_norm(self):
-        mu = ef.DiscreteMeasure.from_atoms([[1.0, 0.0]], [1.0])
-        norm_spec = ef.NormSpec.from_matrix([[4.0, 0.0], [0.0, 1.0]])
-        assert ef.second_moment(mu, norm_spec) == pytest.approx(4.0)
-
 
 class TestSetBound:
     def test_full_grid(self, gaussian_ref, rng):
@@ -380,28 +369,6 @@ class TestGridProjection:
         assert np.allclose(reb.weights, mu.weights, atol=1e-15)
 
 
-class TestNormSpec:
-    def test_kappa_from_eigenvalues(self):
-        spec = ef.NormSpec.from_matrix([[4.0, 0.0], [0.0, 0.25]])
-        assert spec.kappa == pytest.approx(2.0)
-        h = np.array([1.0, 0.0])
-        assert spec.norm(h) == pytest.approx(2.0)
-
-    def test_equivalence_bounds(self, rng):
-        a = rng.normal(size=(2, 2))
-        spec = ef.NormSpec.from_matrix(a @ a.T + 0.5 * np.eye(2))
-        for _ in range(100):
-            h = rng.normal(size=2)
-            base = float(np.linalg.norm(h))
-            weighted = spec.norm(h)
-            assert weighted <= spec.kappa * base + 1e-12
-            assert weighted >= base / spec.kappa - 1e-12
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            ef.NormSpec.from_matrix([[1.0, 2.0], [2.0, 1.0]])
-
-
 class TestDiscreteMeasure:
     def test_merges_duplicates(self):
         mu = ef.DiscreteMeasure.from_atoms([0.0, 0.0, 1.0], [0.25, 0.25, 0.5])
@@ -420,6 +387,12 @@ class TestDiscreteMeasure:
     def test_rejects_nonfinite_weights(self, bad):
         with pytest.raises(ValueError, match="weights must be finite"):
             ef.DiscreteMeasure.from_atoms([0.0, 1.0], [bad, 1.0])
+
+    @pytest.mark.parametrize("points,weights", [([[0.5, 0.0]], [1.0]), ([[0.0], [1.0]], [0.5, 0.5]), (0.5, [1.0])])
+    def test_rejects_points_that_are_not_flat(self, points, weights):
+        # atoms live on the line: a planar cloud, a column or a scalar is not a list of coordinates
+        with pytest.raises(ValueError, match="flat array"):
+            ef.DiscreteMeasure.from_atoms(points, weights)
 
 
 class TestGaussianOnGrid:

@@ -54,11 +54,12 @@ class TestSerialization:
             "[FAIL] large: value=2 bound=1 tol=0",
         ]
 
-    def test_two_dim_header(self, tmp_path, rng):
-        mu = ef.DiscreteMeasure.from_atoms(rng.normal(size=(10, 2)), np.full(10, 0.1))
-        path = tmp_path / "m2.csv"
-        ser.write_measure_csv(path, mu)
-        assert path.read_text().splitlines()[0] == "coord_1,coord_2,weight"
+    @pytest.mark.parametrize("header", ["coord_1,coord_2,weight", "x,weight", ""])
+    def test_measure_csv_rejects_other_headers(self, tmp_path, header):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{header}\n0.5,1\n" if header else "")
+        with pytest.raises(ValueError, match="m.csv"):
+            ser.read_measure_csv(path)
 
     def test_reference_sidecar_round_trip(self, tmp_path):
         gam = ef.discretize_reference(ef.quartic(1.0, 1.0), 150, (-4.5, 4.5))
@@ -444,6 +445,19 @@ class TestCliContract:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["config field '--seed': expected a nonnegative integer"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_uncreatable_output_directory_names_its_field(self, tmp_path, capsys, from_config):
+        # a file where the directory should go: a config error, not a traceback
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        if from_config:
+            args, field = [_write_config(tmp_path, {"output_dir": str(blocker / "o")})], "output_dir"
+        else:
+            args, field = ["--out", str(blocker)], "--out"
+        assert cli_main(["check-all", *args]) == 2
+        assert capsys.readouterr().err.startswith(f"config field '{field}': cannot create the directory")
+        assert blocker.read_text() == ""
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "-1", "0"])
     def test_tol_scale_override_checked(self, tmp_path, capsys, scale):

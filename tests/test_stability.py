@@ -200,7 +200,7 @@ class TestFlowStability:
         # flow the run compares equals that weighted flow, solved here with s on the
         # lattice metric itself, step by step
         seq = st.build_sequence("variance_perturbed", ef.quadratic(1.0), ns=(8, 64), grid_n=300)
-        seq.norms = [ef.NormSpec.scaled_identity(1.0 + 1.0 / n, 1) for n in (8, 64)]
+        seq.norms = [1.0 + 1.0 / n for n in (8, 64)]
         cfg = ef.JkoConfig(tau=5e-3)
         flows, run_flow = [], st.jko_trajectory
 
@@ -212,8 +212,7 @@ class TestFlowStability:
         res = st.flow_stability_run(seq, [1.0, 1.0], 1.0, 0.5, cfg)
         limit, members = flows[0], flows[1:]
         assert len(members) == 2
-        for norm, traj in zip(seq.norms, members):
-            s = float(norm.matrix[0, 0])
+        for s, traj in zip(seq.norms, members):
             weighted = copy.copy(traj.lattice)
             weighted._m_diag, weighted._m_off = s * weighted._m_diag, s * weighted._m_off
             ref = run_flow(traj.gamma, None, cfg, 0.5, lattice=weighted, initial_edges=traj.edges[0])
@@ -259,7 +258,7 @@ class TestW2Lsc:
     def test_constant_sequences_identity_norms(self, rng):
         gam = ef.discretize_reference(ef.quadratic(1.0), 300, (-8, 8))
         mu, nu = random_grid_measure(gam, rng), random_grid_measure(gam, rng)
-        norms = [ef.NormSpec.scaled_identity(1.0, 1)] * 3
+        norms = [1.0] * 3
         report = st.w2_lsc_check([mu] * 3, [nu] * 3, mu, nu, norms)
         assert report.passed, str(report)
 
@@ -268,14 +267,15 @@ class TestW2Lsc:
         ns = (4, 16, 64, 256)
         mus = [ef.gaussian_on_grid(gam, 0.0, math.sqrt(1 + 1 / n)) for n in ns]
         nus = [ef.gaussian_on_grid(gam, 1.0, 1.0) for _ in ns]
-        norms = [ef.NormSpec.scaled_identity(1.0 + 1.0 / n, 1) for n in ns]
+        norms = [1.0 + 1.0 / n for n in ns]
         mu = ef.gaussian_on_grid(gam, 0.0, 1.0)
         nu = ef.gaussian_on_grid(gam, 1.0, 1.0)
-        # weighted distance for scalar matrices is sqrt(a) times the base one
-        got = ef.w2(mus[-1], nus[-1], norms[-1])
-        assert got == pytest.approx(math.sqrt(1 + 1 / 256) * ef.w2(mus[-1], nus[-1]), abs=1e-9)
         report = st.w2_lsc_check(mus, nus, mu, nu, norms)
         assert report.passed, str(report)
+        # a member's weighted distance is sqrt(s) times the base one
+        got = next(item.value for item in report.items if item.check_id == "w2_convergence")
+        weighted = math.sqrt(1 + 1 / 256) * ef.w2(mus[-1], nus[-1])
+        assert got == pytest.approx(abs(weighted - ef.w2(mu, nu)), abs=1e-12)
 
     def test_escaping_mass_strict_liminf(self):
         ns = (4, 16, 64)

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import logsumexp
 from scipy.stats import norm
@@ -15,7 +17,7 @@ from entroflow.transport import (
     w2_knots_to_gaussian,
     w2_quantile_knots,
 )
-from conftest import random_atomic, random_grid_measure
+from conftest import PROPERTY, random_atomic, random_grid_measure
 
 
 class TestExact1d:
@@ -63,25 +65,6 @@ class TestLp:
         plan = res.coupling.dense(a.n, a.n)
         assert np.abs(plan - np.diag(a.weights)).max() < 1e-12
 
-    def test_two_dimensional_translation(self, rng):
-        pts = rng.normal(size=(20, 2))
-        w = rng.dirichlet(np.ones(20))
-        mu = ef.DiscreteMeasure.from_atoms(pts, w)
-        nu = ef.DiscreteMeasure.from_atoms(pts + np.array([1.0, -2.0]), w)
-        assert ef.w2_lp(mu, nu).distance == pytest.approx(math.sqrt(5.0), abs=1e-9)
-
-    def test_w2_dispatches_to_lp_in_two_dimensions(self, rng):
-        a = ef.DiscreteMeasure.from_atoms(rng.normal(size=(12, 2)), rng.dirichlet(np.ones(12)))
-        b = ef.DiscreteMeasure.from_atoms(rng.normal(size=(9, 2)) + 1.0, rng.dirichlet(np.ones(9)))
-        assert ef.w2(a, b) == ef.w2_lp(a, b).distance
-
-    def test_weighted_norm_cost(self, rng):
-        a, b = random_atomic(rng, n=15), random_atomic(rng, n=17)
-        spec = ef.NormSpec.scaled_identity(4.0, 1)
-        assert ef.w2_lp(a, b, spec).distance == pytest.approx(
-            2.0 * ef.w2_lp(a, b).distance, abs=1e-8
-        )
-
     def test_size_guard(self):
         big = ef.DiscreteMeasure.from_atoms(
             np.arange(4000, dtype=float), np.full(4000, 1.0 / 4000)
@@ -89,24 +72,18 @@ class TestLp:
         with pytest.raises(ValueError):
             ef.w2_lp(big, big)
 
-    @staticmethod
-    def _cloud(rng, n, dim):
-        return ef.DiscreteMeasure.from_atoms(rng.normal(size=(n, dim)), rng.dirichlet(np.ones(n)))
-
-    @pytest.mark.parametrize("case", ["1d", "2d", "norm", "grouped"])
+    @pytest.mark.parametrize("case", ["1d", "grouped"])
     def test_batch_matches_one_pair_calls(self, rng, monkeypatch, case):
         if case == "grouped":  # several programs of a few pairs each
             monkeypatch.setattr(tr, "LP_PROGRAM_VARS", 1000)
-        dim = 2 if case == "2d" else 1
-        norm = ef.NormSpec.from_matrix([[3.0]]) if case == "norm" else None
         pairs = [
-            (self._cloud(rng, int(rng.integers(3, 30)), dim), self._cloud(rng, int(rng.integers(3, 30)), dim))
+            (random_atomic(rng, n=int(rng.integers(3, 30))), random_atomic(rng, n=int(rng.integers(3, 30))))
             for _ in range(12)
         ]
-        batch = ef.w2_lp_batch(pairs, norm)
+        batch = ef.w2_lp_batch(pairs)
         assert len(batch) == len(pairs)
         for (a, b), res in zip(pairs, batch):
-            assert abs(res.distance - ef.w2_lp(a, b, norm).distance) <= 1e-12
+            assert abs(res.distance - ef.w2_lp(a, b).distance) <= 1e-12
             assert res.coupling.marginal_violation(a.weights, b.weights) <= 1e-12
 
     def test_batch_keeps_pair_order(self, rng):
@@ -129,10 +106,50 @@ class TestLp:
         with pytest.raises(ValueError, match="too large"):
             ef.w2_lp_batch([(half, half)] * 4)
 
-    def test_batch_dimension_mismatch_names_the_pair(self, rng):
-        pairs = [(self._cloud(rng, 4, 1), self._cloud(rng, 5, 1)), (self._cloud(rng, 4, 1), self._cloud(rng, 5, 2))]
-        with pytest.raises(ValueError, match="pair 1"):
-            ef.w2_lp_batch(pairs)
+
+@st.composite
+def atomic_pairs(draw):
+    """Two atomic measures of 1-40 atoms with weights down to 1e-12; atoms may coincide or be shared."""
+    shared = draw(st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=10))
+    point = st.one_of(st.sampled_from(shared), st.floats(-5.0, 5.0))
+    weight = st.one_of(st.just(1e-12), st.floats(1e-12, 1.0))
+
+    def measure():
+        n = draw(st.integers(1, 40))
+        w = np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+        return ef.DiscreteMeasure.from_atoms(draw(st.lists(point, min_size=n, max_size=n)), w / w.sum())
+
+    return measure(), measure()
+
+
+class TestTransportProperties:
+    @PROPERTY
+    @given(pair=atomic_pairs())
+    def test_quantile_plan_keeps_the_marginals(self, pair):
+        a, b = pair
+        assert ef.w2_exact_1d(a, b).coupling.marginal_violation(a.weights, b.weights) <= 1e-12
+
+    # HiGHS meets each marginal row only to its primal feasibility tolerance (1e-7): an atom of
+    # mass 1e-12 can lose its mass, e.g. w2_lp(delta_0, (1 - 1e-12) delta_0 + 1e-12 delta_1) is 0
+    # where the quantile distance is 1e-6. A failing example is not shrunk (it takes minutes), and
+    # hypothesis's report of it imports libcst, whose use of mypy_extensions warns.
+    @pytest.mark.xfail(strict=True, reason="the LP plan keeps the marginals only to HiGHS's feasibility tolerance")
+    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    @settings(PROPERTY, phases=[Phase.generate])
+    @given(pair=atomic_pairs())
+    def test_lp_matches_the_quantile_plan(self, pair):
+        a, b = pair
+        exact, lp = ef.w2_exact_1d(a, b), ef.w2_lp(a, b)
+        assert abs(exact.distance - lp.distance) <= 1e-8
+        assert lp.coupling.marginal_violation(a.weights, b.weights) <= 1e-12
+
+    @PROPERTY
+    @given(pair=atomic_pairs(), t=st.floats(0.0, 1.0))
+    def test_interpolation_lies_on_the_geodesic(self, pair, t):
+        a, b = pair
+        # on squares: near 0 the square root blows rounding of the ladder's masses (1e-16) up to 1e-8
+        d_t, d = ef.w2(a, ef.displacement_interpolate(a, b, t)), ef.w2(a, b)
+        assert abs(d_t**2 - (t * d) ** 2) <= 1e-12 * (1.0 + d**2)
 
 
 class TestSinkhorn:
@@ -265,19 +282,6 @@ class TestDisplacementInterpolation:
             assert np.allclose(got.x, target.x)
             assert np.allclose(got.weights, target.weights)
 
-    def test_endpoints_two_dimensional(self, rng):
-        # the LP plan's branch
-        a, b = (
-            ef.DiscreteMeasure.from_atoms(rng.normal(size=(n, 2)) + shift, rng.dirichlet(np.ones(n)))
-            for n, shift in ((12, 0.0), (9, 1.0))
-        )
-        for t, target in ((0.0, a), (1.0, b)):
-            got = ef.displacement_interpolate(a, b, t)
-            assert got.n == target.n
-            assert np.allclose(got.support, target.support)
-            assert np.allclose(got.weights, target.weights)
-            assert ef.w2(got, target) == pytest.approx(0.0, abs=1e-9)
-
     def test_gaussian_midpoint(self, gaussian_ref):
         # translation geodesic: midpoint of N(0,1)->N(2,1) is N(1,1); the
         # shift is a whole number of cells, so the discretized target is hit
@@ -342,8 +346,8 @@ class TestCyclicalMonotonicity:
 
     def test_swapped_plan_detected(self):
         # anti-monotone plan on two distinct atoms: brute force over both plans
-        source = np.array([[0.0], [1.0]])
-        target = np.array([[0.0], [1.0]])
+        source = np.array([0.0, 1.0])
+        target = np.array([0.0, 1.0])
         coupling = ef.Coupling(
             rows=np.array([0, 1]),
             cols=np.array([1, 0]),
@@ -360,30 +364,10 @@ class TestCyclicalMonotonicity:
             rows=rows.ravel(),
             cols=cols.ravel(),
             masses=np.outer(a.weights, b.weights).ravel(),
-            source=a.support,
-            target=b.support,
+            source=a.x,
+            target=b.x,
         )
         assert ef.cyclical_monotonicity_check(coupling, trials=3000, rng=rng) > 0
-
-
-class TestNormProjection:
-    def test_scaled_identity_sequence(self):
-        seq = [ef.NormSpec.scaled_identity(1.0 + 1.0 / n, 2) for n in range(1, 40)]
-        h = np.array([1.0, 0.0])
-        for n in (0, 5, 20):
-            assert seq[n].norm(h) == pytest.approx(
-                math.sqrt(1.0 + 1.0 / (n + 1))
-            )
-        assert abs(seq[38].norm(h) - 1.0) < 0.02
-
-    def test_norm_equivalence_on_transport(self, rng):
-        spec = ef.NormSpec.from_matrix([[2.5]])
-        for _ in range(10):
-            a, b = random_atomic(rng, n=12), random_atomic(rng, n=9)
-            base = ef.w2(a, b)
-            weighted = ef.w2(a, b, spec)
-            assert weighted <= spec.kappa * base + 1e-9
-            assert weighted >= base / spec.kappa - 1e-9
 
 
 class TestQuantileKnotMetric:
