@@ -1,10 +1,11 @@
 """Quadratic-cost optimal transport between discrete measures on the line.
 
 On the line the monotone quantile coupling is optimal, so ``w2`` is the exact
-L2 distance of the quantile functions. Two solvers that do not use that
-structure serve as cross-checks: an exact linear program for small instances
-and stabilized Sinkhorn scaling for large ones. Displacement interpolation and
-cyclical-monotonicity diagnostics are built on top.
+L2 distance of the quantile functions. ``optimality_certificate`` proves a plan
+optimal by Kantorovich duality, without solving anything. Two solvers that do
+not use the monotone structure serve as cross-checks: an exact linear program
+for small instances and stabilized Sinkhorn scaling for large ones.
+Displacement interpolation is built on top.
 """
 from __future__ import annotations
 
@@ -26,19 +27,15 @@ __all__ = [
     "SinkhornResult",
     "w2_exact_1d",
     "w2_lp",
-    "w2_lp_batch",
     "w2_sinkhorn",
     "w2",
     "displacement_interpolate",
     "interpolate_from_base",
-    "cyclical_monotonicity_check",
+    "optimality_certificate",
 ]
 
 MARGINAL_TOL = 1e-9
 LP_SIZE_GUARD = 10_000_000
-# variables per HiGHS program of w2_lp_batch: the dual simplex time grows faster than the
-# program, and 2**15 still holds check-all's 20 spot checks of up to 39x39 atoms
-LP_PROGRAM_VARS = 1 << 15
 SINKHORN_MAX_ITERS = 3000  # per regularization level
 SINKHORN_TOL = 1e-7  # marginal violation that ends a level
 SINKHORN_ABSORB = 1e3  # scaling beyond which it moves into the potentials
@@ -142,72 +139,35 @@ def w2_exact_1d(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
 def w2_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> TransportResult:
     """Exact transportation linear program (HiGHS) on the dense cost matrix.
 
-    Guarded to n*m <= 1e7 variables. The one-pair call of ``w2_lp_batch``.
+    Guarded to n*m <= 1e7 variables. Presolve is off: it would remove only
+    the one dependent marginal row, which the dual simplex handles as it is.
+    HiGHS meets the marginal rows only to its feasibility tolerances, so
+    they are tightened to 1e-10 and the plan is rounded onto its marginals
+    before its cost is read: an atom of mass 1e-12 keeps its mass.
     """
-    return w2_lp_batch([(mu, nu)])[0]
-
-
-def w2_lp_batch(pairs) -> list[TransportResult]:
-    """Exact transportation LPs of many (mu, nu) pairs, solved together.
-
-    Pair k's n*m plan entries and its n + m marginal rows form block k of a
-    block-diagonal constraint matrix. The blocks share no variable or row,
-    so an optimum of the summed cost is optimal on every block, and each
-    pair's cost is read from its own block. Consecutive pairs share one
-    HiGHS program up to ``LP_PROGRAM_VARS`` variables. Presolve is off: it
-    would remove only each block's one dependent marginal row, which the
-    dual simplex handles as it is. Guarded to a total of 1e7 variables.
-    Results come back in pair order.
-    """
-    pairs = list(pairs)
-    sizes = [(mu.n, nu.n) for mu, nu in pairs]
-    if sum(n * m for n, m in sizes) > LP_SIZE_GUARD:
-        shapes = " + ".join(f"{n}x{m}" for n, m in sizes)
-        raise ValueError(f"instance too large for the exact LP ({shapes})")
-    out, group, size = [], [], 0
-    for pair, (n, m) in zip(pairs, sizes):
-        if group and size + n * m > LP_PROGRAM_VARS:
-            out += _lp_program(group)
-            group, size = [], 0
-        group.append(pair)
-        size += n * m
-    return out + _lp_program(group) if group else out
-
-
-def _lp_program(pairs):
-    """One HiGHS program whose diagonal blocks are the pairs' transportation LPs."""
+    n, m = mu.n, nu.n
+    if n * m > LP_SIZE_GUARD:
+        raise ValueError(f"instance too large for the exact LP ({n}x{m})")
     # the package's one deferred import: the LP stack (about 15 MB) loads only for an LP
     from scipy import sparse
     from scipy.optimize import linprog
 
-    costs = [_cost_matrix(mu.x, nu.x) for mu, nu in pairs]
-    # every plan entry (i, j) of a block sits in two rows: its source row i and its
-    # target row n + j, offset by the rows of the blocks before it
-    rows, row_off = [], 0
-    for c in costs:
-        n, m = c.shape
-        i, j = np.divmod(np.arange(c.size), m)
-        rows.append(np.stack([row_off + i, row_off + n + j], axis=1).ravel())
-        row_off += n + m
-    rows = np.concatenate(rows)
-    a_eq = sparse.csc_matrix(
-        (np.ones(len(rows)), rows, np.arange(0, len(rows) + 1, 2)), shape=(row_off, len(rows) // 2)
-    )
-    b_eq = np.concatenate([w for mu, nu in pairs for w in (mu.weights, nu.weights)])
+    c = _cost_matrix(mu.x, nu.x)
+    # every plan entry (i, j) sits in two rows: its source row i and its target row n + j
+    i, j = np.divmod(np.arange(n * m), m)
+    rows = np.stack([i, n + j], axis=1).ravel()
+    a_eq = sparse.csc_matrix((np.ones(len(rows)), rows, np.arange(0, len(rows) + 1, 2)), shape=(n + m, n * m))
     res = linprog(
-        np.concatenate([c.ravel() for c in costs]), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
-        method="highs", options={"presolve": False},
+        c.ravel(), A_eq=a_eq, b_eq=np.concatenate([mu.weights, nu.weights]), bounds=(0, None),
+        method="highs",
+        options={"presolve": False, "primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
     )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
-    out, start = [], 0
-    for (mu, nu), c in zip(pairs, costs):
-        plan = res.x[start : start + c.size].reshape(c.shape)
-        start += c.size
-        cost = float(np.vdot(c, plan))
-        coupling = Coupling.from_dense(plan, 1e-15, mu.x, nu.x)
-        out.append(TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling))
-    return out
+    plan = _round_to_marginals(np.maximum(res.x.reshape(n, m), 0.0), mu.weights, nu.weights)
+    cost = float(np.vdot(c, plan))
+    coupling = Coupling.from_dense(plan, 1e-15, mu.x, nu.x)
+    return TransportResult(distance=math.sqrt(max(cost, 0.0)), coupling=coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -372,30 +332,36 @@ def interpolate_from_base(
 # ---------------------------------------------------------------------------
 # Diagnostics
 # ---------------------------------------------------------------------------
-def cyclical_monotonicity_check(coupling: Coupling, trials: int, rng: np.random.Generator) -> int:
-    """Sample support tuples and permutations; return the count of optimality violations.
+def optimality_certificate(coupling: Coupling, a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """Weak-duality proof that a plan between weights a and b is optimal.
 
-    Optimal plans satisfy sum_i c(x_i, y_perm(i)) >= sum_i c(x_i, y_i) for
-    every finite support family and permutation; a permutation counts as a
-    violation when it lowers the cost by more than 1e-10.
+    Kantorovich potentials are read off the monotone staircase of the
+    marginals, not off the plan: phi_i + psi_j = c_ij on each staircase
+    cell, and where both indices advance, the zero-mass corner cell
+    (i_next, j_prev) links the two cells. An atom that the staircase skips
+    (weight below cumulative float resolution) takes its c-transform.
+    Returns (the plan's marginal violation, the largest phi_i + psi_j - c_ij
+    over every (i, j), |plan cost - (sum phi a + sum psi b)|), the last two
+    relative to the largest cost. When all three are small the plan's cost
+    is the LP optimum to within them. The dual check runs over every cell,
+    so the proof assumes nothing about the plan or the supports' order.
     """
-    if len(coupling.masses) < 2:
-        raise ValueError("coupling needs at least two support pairs")
-    xs = coupling.source[coupling.rows]
-    ys = coupling.target[coupling.cols]
-    n_pairs = len(coupling.masses)
-    violations = 0
-    for _ in range(trials):
-        ell = int(rng.integers(2, min(5, n_pairs) + 1))
-        pick = rng.choice(n_pairs, size=ell, replace=False)
-        perm = rng.permutation(ell)
-        dx = xs[pick]
-        dy = ys[pick]
-        base = float(np.sum((dx - dy) ** 2))
-        shuffled = float(np.sum((dx - dy[perm]) ** 2))
-        if base - shuffled > 1e-10:
-            violations += 1
-    return violations
+    c = _cost_matrix(coupling.source, coupling.target)
+    (ia, ib), _ = _quantile_segments(a, b)
+    # phi moves only on the steps that advance i, by the cost change along column j_prev
+    phi_k = np.concatenate([[0.0], np.cumsum(c[ia[1:], ib[:-1]] - c[ia[:-1], ib[:-1]])])
+    # -inf marks an atom that the staircase skips until it takes its c-transform
+    phi = np.full(len(a), -np.inf)
+    psi = np.full(len(b), -np.inf)
+    phi[ia] = phi_k
+    psi[ib] = c[ia, ib] - phi_k
+    phi = np.where(phi == -np.inf, (c - psi).min(axis=1), phi)
+    psi = np.where(psi == -np.inf, (c - phi[:, None]).min(axis=0), psi)
+    scale = float(c.max()) or 1.0  # every cost is 0 when all atoms sit at one point
+    dual = float((phi[:, None] + psi - c).max()) / scale
+    cost = float(np.dot(coupling.masses, c[coupling.rows, coupling.cols]))
+    gap = abs(cost - float(np.dot(phi, a) + np.dot(psi, b))) / scale
+    return coupling.marginal_violation(a, b), dual, gap
 
 
 # ---------------------------------------------------------------------------

@@ -110,16 +110,19 @@ def test_benchmark_layers_resolve():
         tracer.uninstall()
 
 
-# runs the subcommands that solve no LP, then check-all, reporting the LP stack after each
+# runs every subcommand, none of which solves an LP, then one w2_lp, reporting the LP stack after each
 IMPORT_GUARD = """
 import json, sys
 from pathlib import Path
 from entroflow.cli import main
+from entroflow.measures import DiscreteMeasure
+from entroflow.transport import w2_lp
 cfg, out = sys.argv[1], Path(sys.argv[2])
 lp_stack = ("scipy.optimize", "scipy.sparse")
 codes = [main([c, cfg, "--out", str(out / c)]) for c in sys.argv[3:]]
-before = [m in sys.modules for m in lp_stack]
 codes.append(main(["check-all", "--out", str(out / "check-all")]))
+before = [m in sys.modules for m in lp_stack]
+w2_lp(DiscreteMeasure.from_atoms([0.0, 1.0], [0.5, 0.5]), DiscreteMeasure.from_atoms([0.5], [1.0]))
 print(json.dumps({"codes": codes, "before": before, "after": [m in sys.modules for m in lp_stack]}))
 """
 

@@ -72,40 +72,6 @@ class TestLp:
         with pytest.raises(ValueError):
             ef.w2_lp(big, big)
 
-    @pytest.mark.parametrize("case", ["1d", "grouped"])
-    def test_batch_matches_one_pair_calls(self, rng, monkeypatch, case):
-        if case == "grouped":  # several programs of a few pairs each
-            monkeypatch.setattr(tr, "LP_PROGRAM_VARS", 1000)
-        pairs = [
-            (random_atomic(rng, n=int(rng.integers(3, 30))), random_atomic(rng, n=int(rng.integers(3, 30))))
-            for _ in range(12)
-        ]
-        batch = ef.w2_lp_batch(pairs)
-        assert len(batch) == len(pairs)
-        for (a, b), res in zip(pairs, batch):
-            assert abs(res.distance - ef.w2_lp(a, b).distance) <= 1e-12
-            assert res.coupling.marginal_violation(a.weights, b.weights) <= 1e-12
-
-    def test_batch_keeps_pair_order(self, rng):
-        # pairs far apart in distance and in size, so a swap of two results shows
-        pairs = [(random_atomic(rng, n=n), random_atomic(rng, n=n + 3, shift=shift))
-                 for n, shift in ((5, 10.0), (30, 0.0), (12, -4.0))]
-        batch = ef.w2_lp_batch(pairs)
-        for (a, b), res in zip(pairs, batch):
-            assert res.distance == pytest.approx(ef.w2_exact_1d(a, b).distance, abs=1e-9)
-            assert res.coupling.marginal_violation(a.weights, b.weights) <= 1e-12
-
-    def test_batch_of_no_pairs(self):
-        assert ef.w2_lp_batch([]) == []
-
-    def test_batch_size_guard_counts_the_whole_batch(self):
-        # each pair is under the guard, the batch is over it
-        n = int(math.isqrt(tr.LP_SIZE_GUARD)) // 2 + 1
-        half = ef.DiscreteMeasure.from_atoms(np.arange(n, dtype=float), np.full(n, 1.0 / n))
-        assert 4 * n * n > tr.LP_SIZE_GUARD >= n * n
-        with pytest.raises(ValueError, match="too large"):
-            ef.w2_lp_batch([(half, half)] * 4)
-
 
 @st.composite
 def atomic_pairs(draw):
@@ -129,12 +95,7 @@ class TestTransportProperties:
         a, b = pair
         assert ef.w2_exact_1d(a, b).coupling.marginal_violation(a.weights, b.weights) <= 1e-12
 
-    # HiGHS meets each marginal row only to its primal feasibility tolerance (1e-7): an atom of
-    # mass 1e-12 can lose its mass, e.g. w2_lp(delta_0, (1 - 1e-12) delta_0 + 1e-12 delta_1) is 0
-    # where the quantile distance is 1e-6. A failing example is not shrunk (it takes minutes), and
-    # hypothesis's report of it imports libcst, whose use of mypy_extensions warns.
-    @pytest.mark.xfail(strict=True, reason="the LP plan keeps the marginals only to HiGHS's feasibility tolerance")
-    @pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
+    # a failing example is not shrunk: shrinking LPs takes minutes
     @settings(PROPERTY, phases=[Phase.generate])
     @given(pair=atomic_pairs())
     def test_lp_matches_the_quantile_plan(self, pair):
@@ -338,26 +299,60 @@ class TestDisplacementInterpolation:
                 assert ht <= (1 - t) * h0 + t * h1 + 1e-6
 
 
-class TestCyclicalMonotonicity:
-    def test_optimal_plan_clean(self, rng):
-        a, b = random_atomic(rng, n=30), random_atomic(rng, n=35)
-        violations = ef.cyclical_monotonicity_check(ef.w2_exact_1d(a, b).coupling, trials=10000, rng=rng)
-        assert violations == 0
+def _assert_certifies(a, b):
+    """The quantile plan of (a, b) certifies, and the anti-monotone plan only where it is optimal.
 
-    def test_swapped_plan_detected(self):
-        # anti-monotone plan on two distinct atoms: brute force over both plans
-        source = np.array([0.0, 1.0])
-        target = np.array([0.0, 1.0])
+    The quantile plan against b mirrored, read on b itself, is the anti-monotone plan: tight on
+    its own cells with no gap, so only the dual check over every cell can refute it. By weak
+    duality a certificate within 1e-12 bounds its cost by the optimum plus twice that, relative
+    to the largest cost.
+    """
+    plan = ef.w2_exact_1d(a, b).coupling
+    assert max(ef.optimality_certificate(plan, a.weights, b.weights)) <= 1e-12
+    mirrored = ef.DiscreteMeasure.from_atoms(-b.x, b.weights)
+    plan = ef.w2_exact_1d(a, mirrored).coupling
+    anti = ef.Coupling(rows=plan.rows, cols=plan.cols, masses=plan.masses, source=a.x, target=-mirrored.x)
+    scale = float(np.max((a.x[:, None] - b.x[None, :]) ** 2)) or 1.0
+    cost = float(np.dot(plan.masses, (a.x[plan.rows] + mirrored.x[plan.cols]) ** 2))
+    if max(ef.optimality_certificate(anti, a.weights, mirrored.weights)) <= 1e-12:
+        assert cost <= ef.w2(a, b) ** 2 + 3e-12 * scale
+
+
+class TestOptimalityCertificate:
+    def test_quantile_plan_certifies(self, rng):
+        _assert_certifies(random_atomic(rng, n=30), random_atomic(rng, n=35))
+
+    @pytest.mark.parametrize(
+        "points,weights",
+        [([0.0, 1.0], [1.0 - 1e-12, 1e-12]), ([0.0, 1.0, 2.0], [2e-11, 2e-12, 1.0])],
+        ids=["lp_reads_zero", "lp_moves_a_tiny_atom"],
+    )
+    def test_tiny_atoms_certify(self, points, weights):
+        # pairs on which HiGHS at its default feasibility tolerance lost an atom's mass
+        a = ef.DiscreteMeasure.from_atoms([0.0], [1.0])
+        _assert_certifies(a, ef.DiscreteMeasure.from_atoms(points, np.array(weights) / sum(weights)))
+
+    def test_skipped_atom_certifies(self):
+        # the middle source atom lies below the cumulative float resolution: the staircase
+        # skips it, and its potential is its c-transform
+        a = ef.DiscreteMeasure.from_atoms([0.0, 1.0, 2.0], [0.5, 1e-17, 0.5])
+        b = ef.DiscreteMeasure.from_atoms([0.5, 1.5, 2.5], [0.25, 0.5, 0.25])
+        assert 1 not in ef.w2_exact_1d(a, b).coupling.rows
+        _assert_certifies(a, b)
+
+    def test_swapped_plan_fails(self):
+        # anti-monotone plan on two distinct atoms: cost 1 against the optimum 0
         coupling = ef.Coupling(
             rows=np.array([0, 1]),
             cols=np.array([1, 0]),
             masses=np.array([0.5, 0.5]),
-            source=source,
-            target=target,
+            source=np.array([0.0, 1.0]),
+            target=np.array([0.0, 1.0]),
         )
-        assert ef.cyclical_monotonicity_check(coupling, trials=200, rng=np.random.default_rng(0)) >= 1
+        marginal, dual, gap = ef.optimality_certificate(coupling, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        assert (marginal, dual, gap) == (0.0, 0.0, 1.0)
 
-    def test_product_coupling_detected(self, rng):
+    def test_product_coupling_fails(self, rng):
         a, b = random_atomic(rng, n=6), random_atomic(rng, n=7, shift=1.0)
         rows, cols = np.meshgrid(np.arange(6), np.arange(7), indexing="ij")
         coupling = ef.Coupling(
@@ -367,7 +362,26 @@ class TestCyclicalMonotonicity:
             source=a.x,
             target=b.x,
         )
-        assert ef.cyclical_monotonicity_check(coupling, trials=3000, rng=rng) > 0
+        marginal, dual, gap = ef.optimality_certificate(coupling, a.weights, b.weights)
+        assert marginal <= 1e-12 and dual <= 1e-12 and gap > 0.01
+
+    def test_staircase_on_an_unsorted_support_fails(self):
+        # the staircase plan on a source listed in descending order is anti-monotone: tight on
+        # its own cells with no gap, so only the dual check over every cell refutes it
+        coupling = ef.Coupling(
+            rows=np.array([0, 1]),
+            cols=np.array([0, 1]),
+            masses=np.array([0.5, 0.5]),
+            source=np.array([1.0, 0.0]),
+            target=np.array([0.0, 1.0]),
+        )
+        marginal, dual, gap = ef.optimality_certificate(coupling, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        assert (marginal, dual, gap) == (0.0, 2.0, 0.0)
+
+    @PROPERTY
+    @given(pair=atomic_pairs())
+    def test_quantile_plans_certify(self, pair):
+        _assert_certifies(*pair)
 
 
 class TestQuantileKnotMetric:
